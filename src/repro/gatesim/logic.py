@@ -201,15 +201,14 @@ def signatures_from_values(
 ) -> Dict[int, BitSequence]:
     """Turn per-node logic-value traces into switching signatures.
 
-    ``ss_i = value_i XOR value_{i-1}`` with ``ss_0 = 0`` — computed
-    word-parallel by XOR-ing each trace with itself shifted one cycle.
+    ``ss_i = value_i XOR value_{i-1}`` with ``ss_0 = 0``: each trace is
+    XOR-ed with its own word-level :meth:`BitSequence.shift_right` by one
+    cycle, which leaves ``value_0`` itself in bit 0, so bit 0 is cleared.
     """
     out: Dict[int, BitSequence] = {}
     for nid, trace in value_traces.items():
-        shifted = trace.shift_right(1)
-        # Cycle 0 of ``shifted`` is 0; force ss_0 = 0 by clearing any diff.
-        ss = trace ^ shifted
-        if ss.length > 0 and trace.get(0) == 1:
+        ss = trace ^ trace.shift_right(1)
+        if ss.length:
             ss.set(0, 0)
         out[nid] = ss
     return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, NetlistError
 from repro.netlist.cones import ConeExtractor, UnrolledCones
 from repro.netlist.graph import Netlist
 from repro.precharac.lifetime import LifetimeCampaign, run_lifetime_campaign
@@ -197,7 +197,7 @@ def precharacterize(
     for (reg, bit), char in campaign.results.items():
         try:
             nid = netlist.register_dff(reg, bit).nid
-        except Exception:  # register not in this netlist (never for cones)
+        except NetlistError:  # register not in this netlist (never for cones)
             continue
         per_dff[nid] = char.lifetime
     node_lifetime = extractor.max_over_latching(per_dff)

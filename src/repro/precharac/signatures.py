@@ -70,19 +70,35 @@ def correlate_cones(
     signatures: Mapping[int, BitSequence],
     responding: Sequence[int],
 ) -> Dict[Tuple[int, int], float]:
-    """``Corr_i`` for every cone node against every responding signal."""
+    """``Corr_i`` for every cone node against every responding signal.
+
+    Only a few distinct shifts occur (one per frame and node kind), so each
+    responding signal's ``ss(rs) << shift`` is built once per shift, and
+    each node's ``|ss(g)|`` once, however many frames the node sits in.
+    """
     out: Dict[Tuple[int, int], float] = {}
     rs_signatures = {rs: signatures[rs] for rs in responding}
+    aligned: Dict[int, List[BitSequence]] = {}
+    weights: Dict[int, int] = {}
     for frame, nodes in cones.fanin.items():
         for nid in nodes:
-            node = netlist.node(nid)
             sig = signatures.get(nid)
-            if sig is None or sig.popcount() == 0:
+            if sig is None:
                 continue
-            shift = frame if node.is_dff else frame + 1
+            weight = weights.get(nid)
+            if weight is None:
+                weight = weights[nid] = sig.popcount()
+            if weight == 0:
+                continue
+            shift = frame if netlist.node(nid).is_dff else frame + 1
+            rs_aligned = aligned.get(shift)
+            if rs_aligned is None:
+                rs_aligned = aligned[shift] = [
+                    rs_sig.shift_left(shift) for rs_sig in rs_signatures.values()
+                ]
             best = 0.0
-            for rs_sig in rs_signatures.values():
-                best = max(best, sig.correlation_with(rs_sig, shift))
+            for rs_sig in rs_aligned:
+                best = max(best, (sig & rs_sig).popcount() / weight)
             if best > 0.0:
                 out[(nid, frame)] = best
     return out

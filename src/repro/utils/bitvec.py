@@ -144,21 +144,39 @@ class BitSequence:
         This matches the paper's ``ss(rs) << i``: aligning the responding
         signal's switching at cycle ``j + i`` with the cone node's switching
         at cycle ``j`` (flips need ``i`` cycles to propagate through ``i``
-        register stages).
+        register stages).  Word-level: entry ``j + n`` sits in word
+        ``(j + n) // 64``, so each output word is the input word ``n // 64``
+        further on, shifted down by ``n % 64`` with the low bits of the
+        following word carried in.
         """
         if n < 0:
             return self.shift_right(-n)
-        bits = self.to_bits()
-        shifted = bits[n:] + [0] * min(n, self.length)
-        return BitSequence.from_bits(shifted[: self.length])
+        offset, carry = divmod(n, _WORD_BITS)
+        src = self.words[offset:]
+        out = np.zeros_like(self.words)
+        if src.size:
+            out[: src.size] = src >> np.uint64(carry)
+            if carry:
+                out[: src.size - 1] |= src[1:] << np.uint64(_WORD_BITS - carry)
+        return BitSequence(self.length, out)
 
     def shift_right(self, n: int) -> "BitSequence":
-        """Prepend ``n`` zeros, dropping entries that fall off the end."""
+        """Prepend ``n`` zeros, dropping entries that fall off the end.
+
+        The word-level mirror of :meth:`shift_left`: each output word is the
+        input word ``n // 64`` earlier, shifted up by ``n % 64`` with the high
+        bits of the preceding word carried in.
+        """
         if n < 0:
             return self.shift_left(-n)
-        bits = self.to_bits()
-        shifted = [0] * min(n, self.length) + bits[: max(self.length - n, 0)]
-        return BitSequence.from_bits(shifted[: self.length])
+        offset, carry = divmod(n, _WORD_BITS)
+        src = self.words[: max(self.words.size - offset, 0)]
+        out = np.zeros_like(self.words)
+        if src.size:
+            out[offset:] = src << np.uint64(carry)
+            if carry:
+                out[offset + 1 :] |= src[:-1] >> np.uint64(_WORD_BITS - carry)
+        return BitSequence(self.length, out)
 
     def correlation_with(self, other: "BitSequence", shift: int = 0) -> float:
         """The paper's bit-flip correlation.

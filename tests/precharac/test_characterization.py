@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CharacterizationError
+from repro.precharac import characterization
 from repro.precharac.characterization import (
     CharacterizationConfig,
     classify_registers,
@@ -107,3 +108,52 @@ class TestSystemCharacterization:
             precharacterize(
                 small_context.netlist, [], small_context.mpu_trace, None, 100
             )
+
+
+class TestLifetimeToNodes:
+    """Mapping lifetime-campaign results back onto netlist nodes."""
+
+    def run(self, small_context, monkeypatch, bits):
+        def fake_campaign(device, n_cycles, target_bits, horizon, **kwargs):
+            campaign = LifetimeCampaign(horizon=horizon)
+            for reg, bit in bits:
+                campaign.results[(reg, bit)] = RegisterCharacter(
+                    register=reg,
+                    bit=bit,
+                    lifetime=float(horizon),
+                    contamination=0.0,
+                    ever_masked=False,
+                )
+            return campaign
+
+        monkeypatch.setattr(
+            characterization, "run_lifetime_campaign", fake_campaign
+        )
+        return precharacterize(
+            small_context.netlist,
+            small_context.characterization.responding,
+            small_context.mpu_trace,
+            None,
+            100,
+            config=CharacterizationConfig(max_frame=2, lifetime_horizon=10),
+        )
+
+    def test_unknown_register_bit_is_skipped(self, small_context, monkeypatch):
+        result = self.run(
+            small_context, monkeypatch, [("no_such_reg", 0), ("viol_q", 0)]
+        )
+        viol_q = small_context.netlist.register_dff("viol_q", 0).nid
+        assert result.node_lifetime[viol_q] == 10.0
+
+    def test_other_lookup_errors_propagate(self, small_context, monkeypatch):
+        netlist = small_context.netlist
+        lookup = netlist.register_dff
+
+        def broken(register, bit):
+            if register == "viol_q":
+                raise RuntimeError("corrupt register map")
+            return lookup(register, bit)
+
+        monkeypatch.setattr(netlist, "register_dff", broken)
+        with pytest.raises(RuntimeError, match="corrupt register map"):
+            self.run(small_context, monkeypatch, [("viol_q", 0)])

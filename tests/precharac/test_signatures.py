@@ -1,9 +1,14 @@
 """Tests for switching signatures and bit-flip correlation extraction."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import CharacterizationError
-from repro.netlist.cones import ConeExtractor
+from repro.netlist.cones import ConeExtractor, UnrolledCones
+from repro.netlist.graph import Netlist
+from repro.precharac.characterization import CharacterizationConfig
 from repro.precharac.signatures import (
     analyze_signatures,
     compute_signatures,
@@ -12,6 +17,52 @@ from repro.precharac.signatures import (
 from repro.soc.mpu import default_responding_signals
 from repro.soc.programs import reconfig_workload, synthetic_workload
 from repro.soc.soc import Soc
+from repro.utils.bitvec import BitSequence
+
+
+def reference_correlate_cones(netlist, cones, signatures, responding):
+    """The per-(node, frame, responding signal) loop that ``correlate_cones``
+    must reproduce exactly: same keys, floats and insertion order.
+
+    ``Corr_i`` is computed on unpacked bits with a per-bit shift, so no
+    word-level code is shared with the implementation under test.  Each
+    node's bits are unpacked once to keep the depth-50 case affordable.
+    """
+    unpacked = {}
+
+    def bits(nid):
+        if nid not in unpacked:
+            unpacked[nid] = np.array(signatures[nid].to_bits(), dtype=bool)
+        return unpacked[nid]
+
+    def correlation(node_bits, rs_bits, shift):
+        weight = int(node_bits.sum())
+        if weight == 0:
+            return 0.0
+        pad = np.zeros(min(shift, rs_bits.size), dtype=bool)
+        aligned = np.concatenate([rs_bits[shift:], pad])[: rs_bits.size]
+        return int(np.count_nonzero(node_bits & aligned)) / weight
+
+    out = {}
+    for frame, nodes in cones.fanin.items():
+        for nid in nodes:
+            node = netlist.node(nid)
+            if signatures.get(nid) is None or not bits(nid).any():
+                continue
+            shift = frame if node.is_dff else frame + 1
+            best = 0.0
+            for rs in responding:
+                best = max(best, correlation(bits(nid), bits(rs), shift))
+            if best > 0.0:
+                out[(nid, frame)] = best
+    return out
+
+
+def assert_same_correlations(actual, expected):
+    assert list(actual) == list(expected)
+    for key, value in expected.items():
+        assert type(actual[key]) is float
+        assert actual[key] == value, key
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +175,80 @@ class TestCorrelation:
         corr = correlate_cones(mpu_netlist, cones, sigs, responding)
         for (nid, _frame) in corr:
             assert sigs[nid].popcount() > 0
+
+
+class TestCorrelateConesMatchesReference:
+    def test_reconfig_trace_at_production_depth(
+        self, mpu_netlist, reconfig_trace
+    ):
+        config = CharacterizationConfig()
+        responding = default_responding_signals(mpu_netlist)
+        cones = ConeExtractor(mpu_netlist).extract_many(
+            responding,
+            max_fanin_depth=config.max_frame,
+            max_fanout_depth=config.max_fanout_frame,
+        )
+        sigs = compute_signatures(mpu_netlist, reconfig_trace)
+        actual = correlate_cones(mpu_netlist, cones, sigs, responding)
+        expected = reference_correlate_cones(
+            mpu_netlist, cones, sigs, responding
+        )
+        assert max(cones.fanin) == config.max_frame
+        assert len(expected) > 1000
+        assert_same_correlations(actual, expected)
+
+    @given(st.data())
+    def test_generated_signatures(self, data):
+        # Lengths are never a whole number of words, so the tail word is
+        # always partial; frames reach past the end of the sequence.
+        length = 64 * data.draw(st.integers(0, 4)) + data.draw(
+            st.integers(1, 63)
+        )
+        netlist = Netlist("corr")
+        signatures = {}
+        n_nodes = data.draw(st.integers(1, 10))
+        for i in range(n_nodes):
+            if data.draw(st.booleans()):
+                nid = netlist.add_dff(name=f"r{i}[0]", register=f"r{i}", bit=0)
+            else:
+                nid = netlist.add_input(f"in{i}")
+            kind = data.draw(st.sampled_from(("missing", "silent", "bits")))
+            if kind == "silent":
+                signatures[nid] = BitSequence(length)
+            elif kind == "bits":
+                raw = data.draw(
+                    st.binary(min_size=(length + 7) // 8, max_size=(length + 7) // 8)
+                )
+                bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+                signatures[nid] = BitSequence.from_bits(bits[:length].tolist())
+        if not signatures:
+            signatures[0] = BitSequence(length)
+        # Duplicate responding ids are allowed and must not matter.
+        responding = data.draw(
+            st.lists(st.sampled_from(sorted(signatures)), min_size=1, max_size=4)
+        )
+        frames = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(0, length + 70),
+                    st.sampled_from((63, 64, 127, 128)),
+                ),
+                min_size=1,
+                max_size=6,
+                unique=True,
+            )
+        )
+        cones = UnrolledCones(
+            responding=responding[0],
+            fanin={
+                frame: data.draw(
+                    st.sets(st.integers(0, n_nodes - 1), min_size=1)
+                )
+                for frame in frames
+            },
+        )
+        actual = correlate_cones(netlist, cones, signatures, responding)
+        expected = reference_correlate_cones(
+            netlist, cones, signatures, responding
+        )
+        assert_same_correlations(actual, expected)

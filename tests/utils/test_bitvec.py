@@ -5,9 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gatesim.logic import signatures_from_values
 from repro.utils.bitvec import BitSequence, hamming_weight, pack_bits, unpack_bits
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=200)
+
+
+@st.composite
+def long_bits_lists(draw, max_bits=1100):
+    """Bit lists up to ~17 words long (the excitation trace is 973 cycles),
+    drawn as raw bytes so long lists stay cheap to generate and shrink."""
+    n = draw(st.integers(1, max_bits))
+    raw = draw(st.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8))
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n].tolist()
+
+
+@st.composite
+def bits_and_shifts(draw):
+    """A long bit list and a shift in ``[0, len + 70]``, often a whole
+    number of words so shifts without a carried remainder are covered."""
+    bits = draw(long_bits_lists())
+    limit = len(bits) + 70
+    n = draw(
+        st.one_of(
+            st.integers(0, limit),
+            st.integers(0, limit // 64).map(lambda k: 64 * k),
+        )
+    )
+    return bits, n
 
 
 class TestPackUnpack:
@@ -67,23 +92,29 @@ class TestBitSequence:
     def test_popcount(self, bits):
         assert BitSequence.from_bits(bits).popcount() == sum(bits)
 
-    @given(bits_lists, st.integers(0, 32))
-    def test_shift_left_semantics(self, bits, n):
+    @given(bits_and_shifts())
+    def test_shift_left_semantics(self, case):
+        bits, n = case
         seq = BitSequence.from_bits(bits).shift_left(n)
         expected = bits[n:] + [0] * min(n, len(bits))
         assert seq.to_bits() == expected[: len(bits)]
+        # popcount reads whole words: no stray bits past the end.
+        assert seq.popcount() == sum(expected[: len(bits)])
 
-    @given(bits_lists, st.integers(0, 32))
-    def test_shift_right_semantics(self, bits, n):
+    @given(bits_and_shifts())
+    def test_shift_right_semantics(self, case):
+        bits, n = case
         seq = BitSequence.from_bits(bits).shift_right(n)
         expected = [0] * min(n, len(bits)) + bits[: max(len(bits) - n, 0)]
         assert seq.to_bits() == expected[: len(bits)]
+        assert seq.popcount() == sum(expected[: len(bits)])
 
-    @given(bits_lists, st.integers(-16, 16))
-    def test_shift_negative_is_inverse_direction(self, bits, n):
+    @given(bits_and_shifts())
+    def test_shift_negative_is_inverse_direction(self, case):
+        bits, n = case
         seq = BitSequence.from_bits(bits)
-        assert seq.shift_left(-5) == seq.shift_right(5)
-        assert seq.shift_right(-3) == seq.shift_left(3)
+        assert seq.shift_left(-n) == seq.shift_right(n)
+        assert seq.shift_right(-n) == seq.shift_left(n)
 
     @given(bits_lists)
     def test_xor_or_and_consistency(self, bits):
@@ -94,6 +125,16 @@ class TestBitSequence:
         )
         # (a & b) | (a ^ b) == a | b
         assert ((a & b) | (a ^ b)) == (a | b)
+
+    @given(st.lists(long_bits_lists(), min_size=1, max_size=4))
+    def test_signatures_from_values_matches_from_values(self, traces):
+        # The first trace, and every other one after it, starts high.
+        traces = [[1 - i % 2] + vals[1:] for i, vals in enumerate(traces)]
+        packed = {7 * i: BitSequence.from_bits(v) for i, v in enumerate(traces)}
+        sigs = signatures_from_values(packed)
+        assert list(sigs) == list(packed)
+        for i, vals in enumerate(traces):
+            assert sigs[7 * i] == BitSequence.from_values(vals)
 
     def test_equality_and_hash(self):
         a = BitSequence.from_bits([1, 0, 1])
