@@ -8,8 +8,9 @@ design's context:
   the win is the amortized RTL restart/step + shared cycle baseline +
   the post-divergence outcome-dedup cache;
 * ``write-transient`` — a voltage-transient spec on the same context,
-  which additionally exercises the columnar multi-word-lane propagation
-  inside ``simulate_cycle_batch``;
+  which additionally exercises gate-level propagation (both paths run
+  the same fanout-cone kernel per sample, so the win is the amortized
+  RTL restart/step and the shared cycle baseline);
 * ``write-transient-mc2`` — the same transient spec at
   ``impact_cycles=2``, covering the multi-cycle batching path (samples
   stay batched while golden, diverge to scalar continuations on flip).

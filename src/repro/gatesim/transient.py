@@ -4,9 +4,9 @@ Implements the gate-level half of the cross-level flow (Section 5.3):
 
 1. the attack model hands over a set of impacted gates with initial pulse
    widths (and, for direct hits on flip-flops, state flips);
-2. pulses propagate through the combinational network in topological order,
-   subject to **logical masking** (a pulse only passes a gate whose side
-   inputs sensitize the struck pin) and **electrical masking** (width
+2. pulses propagate through the struck gates' fanout cone in topological
+   order, subject to **logical masking** (a pulse only passes a gate whose
+   side inputs sensitize the struck pin) and **electrical masking** (width
    attenuation per stage);
 3. every pulse arriving at a DFF data pin that overlaps the setup/hold
    window is latched, flipping that register bit's next state.
@@ -17,6 +17,7 @@ injection cycle, which the engine writes back into the RTL simulation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -25,16 +26,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.gatesim.logic import LogicEvaluator, NodeValues
 from repro.gatesim.timing import TimingModel
-from repro.netlist.cells import GateKind, gate_sensitized
+from repro.netlist.cells import gate_sensitized
 from repro.netlist.graph import Netlist
-
-#: Samples per lane word in the batched kernel (one uint64 = 64 lanes).
-_LANE_BITS = 64
-
-#: Batch size at which ``simulate_cycle_batch`` switches from the
-#: per-sample exact sweep to the columnar multi-lane sweep.  Below this
-#: the numpy dispatch overhead outweighs the loop it replaces.
-VECTORIZED_MIN_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -152,15 +145,10 @@ class TransientSimulator:
         at the start of the cycle (provided by the RTL simulation).
         """
         values = self.evaluator.evaluate(inputs, state)
-        golden_next = self.evaluator.next_state(values)
-
-        pulses = self._seed_pulses(injection)
-        n_injected = sum(len(p) for p in pulses.values())
-        self._propagate(values, pulses)
-        flipped, n_latched = self._latch(values, pulses)
-        return self._finish_cycle(
-            injection, flipped, golden_next, n_injected, n_latched
+        baseline = CycleBaseline(
+            values=values, golden_next=self.evaluator.next_state(values)
         )
+        return self._simulate(baseline, [injection])[0]
 
     def make_baseline(
         self, inputs: Mapping[str, int], state: Mapping[str, int]
@@ -177,7 +165,6 @@ class TransientSimulator:
         state: Mapping[str, int],
         injections: Sequence[TransientInjection],
         baseline: Optional[CycleBaseline] = None,
-        vectorized: Optional[bool] = None,
     ) -> List[TransientResult]:
         """Run the injection cycle for a batch of same-cycle samples.
 
@@ -186,41 +173,21 @@ class TransientSimulator:
         and sensitization verdicts come from ``baseline`` (built here when
         not supplied), and latch-window classification is one vectorized
         check over every surviving D-pin pulse in the batch.
-
-        Two propagation backends implement the exact sweep:
-
-        * the **per-sample path** (``vectorized=False``) runs a ``uint64``
-          lane-reachability pre-pass and then the exact scalar propagation
-          per sample over its reached nodes;
-        * the **columnar path** (``vectorized=True``) keeps every sample's
-          pulses at a node in shared numpy arrays tagged with an owner
-          lane, so one topological sweep serves the whole batch — delay
-          addition, electrical attenuation, and interval sorting happen
-          across all lanes at once, with an exact scalar fallback only
-          for the rare (owner, node) groups whose pulses actually merge.
-
-        ``vectorized=None`` picks the columnar path for batches of at
-        least :data:`VECTORIZED_MIN_BATCH`.  Both backends produce
-        bit-identical pulse sets (ordering, float arithmetic, and
-        truncation all replicate :meth:`_propagate`), which
-        ``tests/gatesim/test_lane_propagation.py`` locks down.
         """
         if baseline is None:
             baseline = self.make_baseline(inputs, state)
+        return self._simulate(baseline, injections)
+
+    def _simulate(
+        self,
+        baseline: CycleBaseline,
+        injections: Sequence[TransientInjection],
+    ) -> List[TransientResult]:
         per_sample = [self._seed_pulses(inj) for inj in injections]
         n_injected = [sum(len(p) for p in ps.values()) for ps in per_sample]
-        if vectorized is None:
-            vectorized = len(injections) >= VECTORIZED_MIN_BATCH
-        if vectorized:
-            flipped_sets, latched_counts = self._simulate_columnar(
-                baseline, per_sample
-            )
-        else:
-            reached = self._reachable_by_sample(baseline, per_sample)
-            for pulses, topo_reached in zip(per_sample, reached):
-                if pulses:
-                    self._propagate_pruned(baseline, pulses, topo_reached)
-            flipped_sets, latched_counts = self._latch_batch(per_sample)
+        for pulses in per_sample:
+            self._sweep_cone(baseline, pulses)
+        flipped_sets, latched_counts = self._latch_batch(per_sample)
         return [
             self._finish_cycle(
                 inj,
@@ -284,15 +251,35 @@ class TransientSimulator:
             pulses.setdefault(nid, []).append(Pulse(start, width))
         return pulses
 
-    def _propagate(self, values: NodeValues, pulses: Dict[int, List[Pulse]]) -> None:
-        for nid in self.netlist.topo_order():
-            node = self.netlist.node(nid)
+    def _sweep_cone(
+        self, baseline: CycleBaseline, pulses: Dict[int, List[Pulse]]
+    ) -> None:
+        """Exact propagation of one sample's pulses through its fanout cone.
+
+        A heap pops nodes in topological order, seeded with the struck
+        gates.  Ascending node id is such an order, because
+        :meth:`Netlist.add_gate` only accepts fanins that already exist.
+        A combinational consumer is pushed only through a pin the
+        baseline sensitizes, and every pin a node drives is tested, since
+        one node can feed a gate twice.  A node off that cone can never
+        receive a pulse, and each popped node gets the full-netlist
+        sweep's update — same (pin, fanin) order, attenuation, merge and
+        truncation — so the final pulse map is bit-identical to sweeping
+        every node.
+        """
+        nodes = self.netlist.nodes
+        fanouts = self.netlist.fanouts()
+        heap = list(pulses)
+        heapq.heapify(heap)
+        queued = set(heap)
+        while heap:
+            nid = heapq.heappop(heap)
+            node = nodes[nid]
             incoming: List[Pulse] = []
             for pin, f in enumerate(node.fanins):
                 if f not in pulses:
                     continue
-                in_vals = [int(values[x]) for x in node.fanins]
-                if not gate_sensitized(node.kind, in_vals, pin):
+                if not self._pin_sensitized(baseline, node, pin):
                     continue  # logical masking
                 delay = self.timing.gate_delay(node.kind)
                 for pulse in pulses[f]:
@@ -306,6 +293,17 @@ class TransientSimulator:
                 pulses[nid] = _merge_pulses(existing + merged)[
                     : self.max_pulses_per_node
                 ]
+            elif nid not in pulses:
+                continue  # every arriving pulse was masked
+            for c in fanouts[nid]:
+                consumer = nodes[c]
+                if consumer.is_dff or c in queued:
+                    continue
+                for pin, f in enumerate(consumer.fanins):
+                    if f == nid and self._pin_sensitized(baseline, consumer, pin):
+                        queued.add(c)
+                        heapq.heappush(heap, c)
+                        break
 
     def _pin_sensitized(self, baseline: CycleBaseline, node, pin: int) -> bool:
         """Memoized :func:`gate_sensitized` on the baseline node values."""
@@ -317,88 +315,6 @@ class TransientSimulator:
             baseline.sensitized[key] = verdict
         return verdict
 
-    def _reachable_by_sample(
-        self,
-        baseline: CycleBaseline,
-        per_sample: Sequence[Dict[int, List[Pulse]]],
-    ) -> List[List[int]]:
-        """Per-sample pulse-reachable node lists, in topological order.
-
-        Packs the batch into ``uint64`` lane words (sample ``b`` is bit
-        ``b % 64`` of word ``b // 64``) and ORs the words through every
-        sensitized pin in one topological sweep.  Attenuation is ignored,
-        so the result is a sound over-approximation of where each sample's
-        pulses can live: restricting the exact scalar propagation to a
-        sample's reached nodes cannot change its outcome.
-        """
-        reached: List[List[int]] = [[] for _ in per_sample]
-        n_words = (len(per_sample) + _LANE_BITS - 1) // _LANE_BITS
-        lanes = np.zeros((len(self.netlist), n_words), dtype=np.uint64)
-        seeded = False
-        for b, pulses in enumerate(per_sample):
-            if not pulses:
-                continue
-            seeded = True
-            word, bit = divmod(b, _LANE_BITS)
-            mask = np.uint64(1 << bit)
-            for nid in pulses:
-                lanes[nid, word] |= mask
-        if not seeded:
-            return reached
-        for nid in self.netlist.topo_order():
-            node = self.netlist.node(nid)
-            acc = None
-            for pin, f in enumerate(node.fanins):
-                words = lanes[f]
-                if not words.any():
-                    continue
-                if not self._pin_sensitized(baseline, node, pin):
-                    continue  # logical masking kills every lane at this pin
-                acc = words if acc is None else (acc | words)
-            if acc is not None:
-                lanes[nid] |= acc
-            row = lanes[nid]
-            if row.any():
-                packed = int.from_bytes(row.tobytes(), "little")
-                while packed:
-                    low = packed & -packed
-                    reached[low.bit_length() - 1].append(nid)
-                    packed ^= low
-        return reached
-
-    def _propagate_pruned(
-        self,
-        baseline: CycleBaseline,
-        pulses: Dict[int, List[Pulse]],
-        topo_reached: List[int],
-    ) -> None:
-        """Exact scalar propagation restricted to one sample's reached nodes.
-
-        The per-node body replicates :meth:`_propagate` exactly — same
-        (pin, fanin) order, attenuation, merge, and truncation — so the
-        resulting pulse sets are bit-identical to the unpruned sweep.
-        """
-        for nid in topo_reached:
-            node = self.netlist.node(nid)
-            incoming: List[Pulse] = []
-            for pin, f in enumerate(node.fanins):
-                if f not in pulses:
-                    continue
-                if not self._pin_sensitized(baseline, node, pin):
-                    continue  # logical masking
-                delay = self.timing.gate_delay(node.kind)
-                for pulse in pulses[f]:
-                    width = self.timing.attenuate(pulse.width_ps)
-                    if width <= 0:
-                        continue  # electrical masking
-                    incoming.append(Pulse(pulse.start_ps + delay, width))
-            if incoming:
-                merged = _merge_pulses(incoming)
-                existing = pulses.get(nid, [])
-                pulses[nid] = _merge_pulses(existing + merged)[
-                    : self.max_pulses_per_node
-                ]
-
     def _latch_batch(
         self, per_sample: Sequence[Dict[int, List[Pulse]]]
     ) -> Tuple[List[Set[Tuple[str, int]]], List[int]]:
@@ -407,7 +323,7 @@ class TransientSimulator:
         Flattens all surviving D-pin pulses into one array pair and makes
         a single vectorized :meth:`TimingModel.latch_hits` call; a DFF
         counts as latched for a sample when any of that sample's pulses
-        at its D pin hits the window — exactly :meth:`_latch`.
+        at its D pin hits the window.
         """
         flipped: List[Set[Tuple[str, int]]] = [set() for _ in per_sample]
         latched = [0] * len(per_sample)
@@ -428,7 +344,7 @@ class TransientSimulator:
             for i in np.nonzero(hits)[0]:
                 owner = owners[i]
                 if owner in seen:
-                    continue  # one latch per (sample, DFF), like _latch
+                    continue  # one latch per (sample, DFF)
                 seen.add(owner)
                 b, di = owner
                 latched[b] += 1
@@ -436,245 +352,6 @@ class TransientSimulator:
                 if node.register is not None and node.bit is not None:
                     flipped[b].add((node.register, node.bit))
         return flipped, latched
-
-    # ------------------------------------------------------------------
-    # columnar (multi-lane) exact propagation
-    # ------------------------------------------------------------------
-    def _simulate_columnar(
-        self, baseline: CycleBaseline, per_sample: Sequence[Dict[int, List[Pulse]]]
-    ) -> Tuple[List[Set[Tuple[str, int]]], List[int]]:
-        """Exact propagation + latching for the whole batch in one sweep.
-
-        The pulse population lives in a columnar store: per node, three
-        parallel arrays ``(starts, widths, owners)`` sorted by (owner,
-        start) — each owner's slice is exactly the pulse list the scalar
-        path would hold at that node.
-        """
-        store: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        seeds: Dict[int, Tuple[List[float], List[float], List[int]]] = {}
-        for b, pulses in enumerate(per_sample):
-            for nid, plist in pulses.items():
-                ss, ww, oo = seeds.setdefault(nid, ([], [], []))
-                for pulse in plist:
-                    ss.append(pulse.start_ps)
-                    ww.append(pulse.width_ps)
-                    oo.append(b)
-        for nid, (ss, ww, oo) in seeds.items():
-            store[nid] = (
-                np.asarray(ss, dtype=np.float64),
-                np.asarray(ww, dtype=np.float64),
-                np.asarray(oo, dtype=np.int64),
-            )
-        if store:
-            self._propagate_columnar(
-                baseline, store, self._union_reachable(baseline, set(store))
-            )
-        return self._latch_columnar(store, len(per_sample))
-
-    def _union_reachable(
-        self, baseline: CycleBaseline, seeded: Set[int]
-    ) -> List[int]:
-        """Topo-ordered nodes reachable from any seed via sensitized pins.
-
-        The union over samples of the per-sample reachability the lane
-        pre-pass computes — one boolean per node suffices here because
-        the columnar sweep carries the owner lane in the pulse arrays.
-        """
-        reach = bytearray(len(self.netlist))
-        for nid in seeded:
-            reach[nid] = 1
-        out: List[int] = []
-        for nid in self.netlist.topo_order():
-            node = self.netlist.node(nid)
-            hit = reach[nid]
-            if not hit:
-                for pin, f in enumerate(node.fanins):
-                    if reach[f] and self._pin_sensitized(baseline, node, pin):
-                        hit = 1
-                        break
-                reach[nid] = hit
-            if hit:
-                out.append(nid)
-        return out
-
-    def _propagate_columnar(
-        self,
-        baseline: CycleBaseline,
-        store: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        topo_nodes: List[int],
-    ) -> None:
-        """One exact topological sweep over the whole batch's pulses.
-
-        Per node, the incoming pulses of *every* owner are gathered from
-        the sensitized fanins, delayed and attenuated with vectorized
-        float64 arithmetic (bit-identical to the scalar ops), and merged
-        per owner by :meth:`_merge_columnar`.
-        """
-        min_pulse = self.timing.min_pulse_ps
-        attenuation = self.timing.attenuation_ps
-        for nid in topo_nodes:
-            node = self.netlist.node(nid)
-            pieces = []
-            for pin, f in enumerate(node.fanins):
-                col = store.get(f)
-                if col is None:
-                    continue
-                if not self._pin_sensitized(baseline, node, pin):
-                    continue  # logical masking
-                delay = self.timing.gate_delay(node.kind)
-                s, w, o = col
-                remaining = w - attenuation
-                widths = np.where(remaining >= min_pulse, remaining, 0.0)
-                keep = widths > 0  # electrical masking
-                if keep.any():
-                    pieces.append((s[keep] + delay, widths[keep], o[keep]))
-            if not pieces:
-                continue
-            in_s = np.concatenate([p[0] for p in pieces])
-            in_w = np.concatenate([p[1] for p in pieces])
-            in_o = np.concatenate([p[2] for p in pieces])
-            store[nid] = self._merge_columnar(store.get(nid), in_s, in_w, in_o)
-
-    def _merge_columnar(
-        self,
-        existing: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        in_s: np.ndarray,
-        in_w: np.ndarray,
-        in_o: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-owner double merge replicating the scalar node update.
-
-        The scalar path computes ``_merge_pulses(existing +
-        _merge_pulses(incoming))[:max]`` per owner.  ``_merge_pulses``
-        with no overlapping intervals is just a stable sort, so the
-        common case is handled entirely with lexsorts; an owner whose
-        intervals actually touch falls back to the scalar merge on its
-        own pulses (in the scalar arrival order), preserving
-        bit-identity including the float round-trip of interval
-        extension.
-        """
-        # Stage 1: incoming per owner, sorted by start, stable on arrival.
-        order = np.lexsort((np.arange(len(in_s)), in_s, in_o))
-        s1, w1, o1 = in_s[order], in_w[order], in_o[order]
-        dirty: Set[int] = set()
-        if len(s1) > 1:
-            same = o1[1:] == o1[:-1]
-            overlap = same & (s1[1:] <= s1[:-1] + w1[:-1])
-            dirty.update(int(b) for b in np.unique(o1[1:][overlap]))
-        # Stage 2: existing before merged-incoming on equal starts.
-        if existing is not None:
-            es, ew, eo = existing
-            s2 = np.concatenate([es, s1])
-            w2 = np.concatenate([ew, w1])
-            o2 = np.concatenate([eo, o1])
-            order2 = np.lexsort((np.arange(len(s2)), s2, o2))
-            s2, w2, o2 = s2[order2], w2[order2], o2[order2]
-        else:
-            s2, w2, o2 = s1, w1, o1
-        if len(s2) > 1:
-            same = o2[1:] == o2[:-1]
-            overlap = same & (s2[1:] <= s2[:-1] + w2[:-1])
-            dirty.update(int(b) for b in np.unique(o2[1:][overlap]))
-        if dirty:
-            clean = ~np.isin(o2, np.fromiter(dirty, dtype=np.int64))
-            parts_s = [s2[clean]]
-            parts_w = [w2[clean]]
-            parts_o = [o2[clean]]
-            for b in sorted(dirty):
-                mask_in = in_o == b
-                incoming = [
-                    Pulse(s, w) for s, w in zip(in_s[mask_in], in_w[mask_in])
-                ]
-                before: List[Pulse] = []
-                if existing is not None:
-                    mask_ex = eo == b
-                    before = [
-                        Pulse(s, w) for s, w in zip(es[mask_ex], ew[mask_ex])
-                    ]
-                merged = _merge_pulses(before + _merge_pulses(incoming))[
-                    : self.max_pulses_per_node
-                ]
-                parts_s.append(np.array([p.start_ps for p in merged]))
-                parts_w.append(np.array([p.width_ps for p in merged]))
-                parts_o.append(np.full(len(merged), b, dtype=np.int64))
-            s2 = np.concatenate(parts_s)
-            w2 = np.concatenate(parts_w)
-            o2 = np.concatenate(parts_o)
-            # Owners are disjoint between the clean part and the fallback
-            # parts, and each part is internally ordered, so a stable
-            # owner sort restores the (owner, start) invariant.
-            order3 = np.argsort(o2, kind="stable")
-            s2, w2, o2 = s2[order3], w2[order3], o2[order3]
-        # Per-owner truncation to the first max_pulses_per_node intervals
-        # (fallback owners are already truncated; position < max holds).
-        if len(s2):
-            new_group = np.concatenate(([True], o2[1:] != o2[:-1]))
-            boundaries = np.flatnonzero(new_group)
-            group_id = np.cumsum(new_group) - 1
-            position = np.arange(len(o2)) - boundaries[group_id]
-            keep = position < self.max_pulses_per_node
-            if not keep.all():
-                s2, w2, o2 = s2[keep], w2[keep], o2[keep]
-        return s2, w2, o2
-
-    def _latch_columnar(
-        self,
-        store: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        n_samples: int,
-    ) -> Tuple[List[Set[Tuple[str, int]]], List[int]]:
-        """Latch-window classification over the columnar pulse store.
-
-        Same contract as :meth:`_latch_batch`: one vectorized
-        ``latch_hits`` call, one latch per (sample, DFF) however many
-        pulses hit its window.
-        """
-        flipped: List[Set[Tuple[str, int]]] = [set() for _ in range(n_samples)]
-        latched = [0] * n_samples
-        starts_parts: List[np.ndarray] = []
-        widths_parts: List[np.ndarray] = []
-        owner_parts: List[np.ndarray] = []
-        dff_parts: List[np.ndarray] = []
-        for di, node in enumerate(self._dffs):
-            col = store.get(node.fanins[0])
-            if col is None:
-                continue
-            s, w, o = col
-            starts_parts.append(s)
-            widths_parts.append(w)
-            owner_parts.append(o)
-            dff_parts.append(np.full(len(o), di, dtype=np.int64))
-        if not starts_parts:
-            return flipped, latched
-        hits = self.timing.latch_hits(
-            np.concatenate(starts_parts), np.concatenate(widths_parts)
-        )
-        owners = np.concatenate(owner_parts)[hits]
-        dffs = np.concatenate(dff_parts)[hits]
-        for key in np.unique(owners * len(self._dffs) + dffs):
-            b, di = divmod(int(key), len(self._dffs))
-            latched[b] += 1
-            node = self._dffs[di]
-            if node.register is not None and node.bit is not None:
-                flipped[b].add((node.register, node.bit))
-        return flipped, latched
-
-    def _latch(
-        self, values: NodeValues, pulses: Dict[int, List[Pulse]]
-    ) -> Tuple[Set[Tuple[str, int]], int]:
-        lo, hi = self.timing.latch_window
-        flipped: Set[Tuple[str, int]] = set()
-        n_latched = 0
-        for node in self.netlist.nodes:
-            if not node.is_dff or not node.fanins:
-                continue
-            d_pin = node.fanins[0]
-            if d_pin not in pulses:
-                continue
-            if any(p.overlaps(lo, hi) for p in pulses[d_pin]):
-                n_latched += 1
-                if node.register is not None and node.bit is not None:
-                    flipped.add((node.register, node.bit))
-        return flipped, n_latched
 
 
 def _merge_pulses(pulses: Sequence[Pulse]) -> List[Pulse]:

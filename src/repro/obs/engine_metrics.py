@@ -29,7 +29,6 @@ in ``docs/architecture.md``):
 ``engine_sample_seconds``                 histogram  whole-sample wall time
 ``engine_slowest_samples``                topk       slowest samples with attrs
 ``engine_batch_size``                     histogram  samples per dispatched batch
-``engine_batch_fill``                     histogram  uint64 lane occupancy per batch
 ``engine_baseline_cache_total{outcome}``  counter    cycle-baseline cache hit/miss
 ``engine_baseline_cache_hit_ratio``       gauge      lifetime cache hit ratio
 ``engine_batch_seconds``                  histogram  whole-batch wall time
@@ -88,9 +87,6 @@ SLOWEST_SAMPLES_K = 10
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
     1.5, 2.5, 4.5, 8.5, 16.5, 32.5, 64.5, 128.5, 256.5,
 )
-
-#: Edges for uint64 lane occupancy (size / (64 * words), in (0, 1]).
-BATCH_FILL_BUCKETS: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 def observe_record(registry: MetricsRegistry, record: SampleRecord) -> None:
@@ -176,13 +172,9 @@ def observe_batch(
     contract (see the module docstring).
     """
     for size in group_sizes:
-        words = (size + 63) // 64
         registry.histogram(
             "engine_batch_size", BATCH_SIZE_BUCKETS, deterministic=False
         ).observe(size)
-        registry.histogram(
-            "engine_batch_fill", BATCH_FILL_BUCKETS, deterministic=False
-        ).observe(size / (64.0 * words))
     hits = registry.counter(
         "engine_baseline_cache_total", deterministic=False, outcome="hit"
     )

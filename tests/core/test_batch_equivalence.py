@@ -196,7 +196,6 @@ class TestMetrics:
         )
         names = {m["name"] for m in result.metrics}
         assert "engine_batch_size" in names
-        assert "engine_batch_fill" in names
         assert "engine_baseline_cache_total" in names
         assert "engine_baseline_cache_hit_ratio" in names
         # All batch-shape metrics are flagged non-deterministic, which is

@@ -23,6 +23,8 @@ from tests.fleet.helpers import (
     assert_bit_identical,
     fleet_server,
     run_local_baseline,
+    slow_stub_factory,
+    stub_factory,
     wait_terminal,
     workers,
 )
@@ -32,10 +34,10 @@ SPEC = CampaignSpec(
 )
 
 
-def run_fleet(server, spec=SPEC, n_workers=2):
+def run_fleet(server, spec=SPEC, n_workers=2, engine_factory=stub_factory):
     client = ServiceClient(server.url)
     response = client.submit(spec)
-    with workers(server.url, n_workers):
+    with workers(server.url, n_workers, engine_factory=engine_factory):
         wait_terminal(server.service, response["job_id"])
     job = server.service.get_job(response["job_id"])
     assert job.state == "done"
@@ -60,7 +62,12 @@ class TestMergedTrace:
         self, tmp_path
     ):
         with fleet_server(tmp_path) as server:
-            job = run_fleet(server, n_workers=3)
+            # A per-chunk delay keeps a worker busy while the others take
+            # leases; with instant chunks one worker can drain the queue
+            # alone and leave a single lane.
+            job = run_fleet(
+                server, n_workers=3, engine_factory=slow_stub_factory(0.2)
+            )
             trace = run_store(server, job).read_fleet_trace()
         lanes = trace_lanes(trace)
         worker_lanes = {
@@ -237,7 +244,12 @@ class TestEventsJsonl:
 class TestSloMetrics:
     def test_quantiles_exposed_on_the_metrics_endpoint(self, tmp_path):
         with fleet_server(tmp_path) as server:
-            run_fleet(server, n_workers=2)
+            # A per-chunk delay keeps one worker busy while the other
+            # takes a lease; with instant chunks one worker can drain the
+            # queue alone and w0 reports no roundtrips.
+            run_fleet(
+                server, n_workers=2, engine_factory=slow_stub_factory(0.2)
+            )
             text = ServiceClient(server.url).metrics_text()
         for series in (
             'fleet_chunk_roundtrip_seconds_p50{worker="w0"}',
