@@ -36,6 +36,7 @@ class Checkpoint:
     def restore(self, device: Device) -> None:
         device.set_registers(self.registers)
         device.set_arrays({k: list(v) for k, v in self.arrays.items()})
+        device.set_cycle(self.cycle)
 
     def diff_registers(self, other: "Checkpoint") -> Dict[str, int]:
         """XOR of register values that differ between two snapshots."""

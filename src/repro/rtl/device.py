@@ -53,6 +53,14 @@ class Device(abc.ABC):
     def set_registers(self, values: Mapping[str, int]) -> None:
         """Overwrite (a subset of) register values."""
 
+    def set_cycle(self, cycle: int) -> None:
+        """Tell the device which cycle its restored state belongs to.
+
+        :meth:`Checkpoint.restore <repro.rtl.checkpoint.Checkpoint.restore>`
+        calls it; a device that numbers what it records overrides it.
+        Default: the device keeps no cycle count.
+        """
+
     def get_arrays(self) -> Dict[str, List[int]]:
         """Snapshot of memory arrays; default: none."""
         return {}

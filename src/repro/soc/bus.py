@@ -20,6 +20,8 @@ paths the paper's framework is built to find.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -59,6 +61,19 @@ class BusStatus:
     rdata_q: int        # read data from the last committed read
 
 
+@functools.lru_cache(maxsize=256)
+def _status(pending: int, stage: int, src: int, write: int, rdata: int) -> BusStatus:
+    """Bus status from its register values (memoized: they rarely change)."""
+    return BusStatus(
+        free=not pending, stage=stage, src=src, write=bool(write), rdata_q=rdata
+    )
+
+
+_STATUS_REGISTERS = operator.itemgetter(
+    "bus_pending", "bus_stage", "bus_src", "bus_write", "bus_rdata"
+)
+
+
 def bus_register_specs(memmap: MemoryMap = DEFAULT_MEMORY_MAP) -> Dict[str, RegisterSpec]:
     return {
         "bus_pending": RegisterSpec(1),
@@ -87,13 +102,7 @@ class Bus:
         return dict(self._specs)
 
     def status(self) -> BusStatus:
-        return BusStatus(
-            free=not self.regs["bus_pending"],
-            stage=self.regs["bus_stage"],
-            src=self.regs["bus_src"],
-            write=bool(self.regs["bus_write"]),
-            rdata_q=self.regs["bus_rdata"],
-        )
+        return _status(*_STATUS_REGISTERS(self.regs))
 
     def commit_cycle(
         self,
@@ -119,6 +128,8 @@ class Bus:
     def step(self, request: Optional[BusRequest], rdata: Optional[int]) -> None:
         """Clock edge: advance the transaction pipeline."""
         regs = self.regs
+        if not regs["bus_pending"] and request is None:
+            return  # idle, and nothing issued: no register changes
         nxt = dict(regs)
         if regs["bus_pending"]:
             if regs["bus_stage"] == 1:

@@ -12,6 +12,7 @@ instead of completing the access.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -28,6 +29,18 @@ class CoreState(enum.IntEnum):
     MEM2 = 2   # commit stage: observe grant_q / viol_q
     MEM3 = 3   # writeback (loads), advance pc
     HALT = 4
+
+
+# The per-cycle path compares against these bindings: an enum attribute
+# lookup, or an enum call, costs more than the comparison itself.
+_RUN, _MEM1, _MEM2, _MEM3, _HALT = CoreState
+
+#: Register names of r1..r7 (r0 is hardwired to zero).
+_GPR_NAMES = (None,) + tuple(f"core_gpr{i}" for i in range(1, 8))
+
+#: Instruction words repeat (a program is a few hundred words), and an
+#: :class:`~repro.soc.isa.Instruction` is immutable: decode each once.
+_decode = functools.lru_cache(maxsize=1024)(decode)
 
 
 @dataclass
@@ -63,6 +76,8 @@ class Core:
     def __init__(self, memmap: MemoryMap = DEFAULT_MEMORY_MAP):
         self.memmap = memmap
         self._specs = core_register_specs(memmap)
+        self._amask = memmap.addr_mask
+        self._dmask = memmap.data_mask
         self.regs: Dict[str, int] = {}
         self.reset()
 
@@ -78,16 +93,16 @@ class Core:
     def _read_gpr(self, regs: Mapping[str, int], index: int) -> int:
         if index == 0:
             return 0
-        return regs[f"core_gpr{index}"]
+        return regs[_GPR_NAMES[index]]
 
     @staticmethod
     def _write_gpr(nxt: Dict[str, int], index: int, value: int, mask: int) -> None:
         if index != 0:
-            nxt[f"core_gpr{index}"] = value & mask
+            nxt[_GPR_NAMES[index]] = value & mask
 
     @property
     def halted(self) -> bool:
-        return self.regs["core_state"] == CoreState.HALT
+        return self.regs["core_state"] == _HALT
 
     # ------------------------------------------------------------------
     # combinational cycle logic
@@ -96,20 +111,19 @@ class Core:
         regs = self.regs
         nxt = dict(regs)
         comb = CoreComb(next_regs=nxt)
-        state = CoreState(regs["core_state"])
-        memmap = self.memmap
-        dmask = memmap.data_mask
-        amask = memmap.addr_mask
+        state = regs["core_state"]
+        dmask = self._dmask
+        amask = self._amask
         pc = regs["core_pc"]
 
-        if state == CoreState.HALT:
+        if state == _HALT:
             return comb
 
-        if state == CoreState.MEM1:
+        if state == _MEM1:
             nxt["core_state"] = CoreState.MEM2
             return comb
 
-        if state == CoreState.MEM2:
+        if state == _MEM2:
             if bus.src == SRC_CORE and bus.stage == 2:
                 if mpu.viol_q:
                     self._trap(nxt, TrapCause.MPU_VIOLATION, return_pc=pc + 1)
@@ -121,15 +135,19 @@ class Core:
                 nxt["core_state"] = CoreState.MEM3
             return comb
 
-        if state == CoreState.MEM3:
+        if state == _MEM3:
             if regs["core_mem_is_load"]:
                 self._write_gpr(nxt, regs["core_mem_rd"], bus.rdata_q, dmask)
             nxt["core_pc"] = (pc + 1) & amask
             nxt["core_state"] = CoreState.RUN
             return comb
 
+        if state != _RUN:
+            # A 3-bit register holds 5 states; an upset can leave it at 5-7.
+            raise ValueError(f"{state!r} is not a valid {CoreState.__name__}")
+
         # ---------------- CoreState.RUN: fetch + execute ----------------
-        instr = decode(memory.fetch(pc))
+        instr = _decode(memory.fetch(pc))
         op = instr.opcode
         rs1 = self._read_gpr(regs, instr.rs1)
         rs2 = self._read_gpr(regs, instr.rs2)
@@ -184,7 +202,7 @@ class Core:
             nxt["core_mode"] = 0
             next_pc = regs["core_epc"]
 
-        if nxt["core_state"] not in (CoreState.MEM1, CoreState.HALT):
+        if nxt["core_state"] not in (_MEM1, _HALT):
             nxt["core_pc"] = next_pc & amask
         return comb
 

@@ -36,6 +36,10 @@ class DmaState(enum.IntEnum):
     WR_INFLIGHT = 3  # write transaction in the pipeline
 
 
+# Per-cycle comparisons use these bindings rather than enum lookups.
+_IDLE, _RD_INFLIGHT, _WR_PEND, _WR_INFLIGHT = DmaState
+
+
 def dma_register_specs(memmap: MemoryMap = DEFAULT_MEMORY_MAP) -> Dict[str, RegisterSpec]:
     return {
         "dma_src": RegisterSpec(memmap.addr_bits),
@@ -97,8 +101,8 @@ class Dma:
         """
         if not bus.free or core_is_issuing or not self.regs["dma_active"]:
             return None
-        state = DmaState(self.regs["dma_state"])
-        if state == DmaState.IDLE and self.regs["dma_cnt"] < self.regs["dma_len"]:
+        state = self.regs["dma_state"]
+        if state == _IDLE and self.regs["dma_cnt"] < self.regs["dma_len"]:
             return BusRequest(
                 addr=(self.regs["dma_src"] + self.regs["dma_cnt"])
                 & self.memmap.addr_mask,
@@ -106,7 +110,7 @@ class Dma:
                 priv=False,
                 src=SRC_DMA,
             )
-        if state == DmaState.WR_PEND:
+        if state == _WR_PEND:
             return BusRequest(
                 addr=(self.regs["dma_dst"] + self.regs["dma_cnt"])
                 & self.memmap.addr_mask,
@@ -131,19 +135,25 @@ class Dma:
         ``rdata`` is the read data the bus is latching (None if none).
         """
         regs = self.regs
-        nxt = dict(regs)
-        state = DmaState(regs["dma_state"])
-
+        state = regs["dma_state"]
         our_issue = issued is not None and issued.src == SRC_DMA
+        if (
+            state == _IDLE
+            and not regs["dma_active"]
+            and not our_issue
+            and self._mmio_write is None
+        ):
+            return  # idle, inactive, no MMIO write: no register changes
+        nxt = dict(regs)
         our_commit = (not bus.free) and bus.stage == 2 and bus.src == SRC_DMA
 
-        if state == DmaState.IDLE:
+        if state == _IDLE:
             if regs["dma_active"] and regs["dma_cnt"] >= regs["dma_len"]:
                 nxt["dma_active"] = 0  # transfer complete
                 nxt["dma_cnt"] = 0
             elif our_issue:
                 nxt["dma_state"] = DmaState.RD_INFLIGHT
-        elif state == DmaState.RD_INFLIGHT:
+        elif state == _RD_INFLIGHT:
             if our_commit:
                 if viol:
                     nxt["dma_active"] = 0
@@ -156,10 +166,10 @@ class Dma:
                     if rdata is not None:
                         nxt["dma_data"] = rdata & self.memmap.data_mask
                     nxt["dma_state"] = DmaState.WR_PEND
-        elif state == DmaState.WR_PEND:
+        elif state == _WR_PEND:
             if our_issue:
                 nxt["dma_state"] = DmaState.WR_INFLIGHT
-        elif state == DmaState.WR_INFLIGHT:
+        elif state == _WR_INFLIGHT:
             if our_commit:
                 if viol:
                     nxt["dma_active"] = 0

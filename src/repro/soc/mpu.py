@@ -40,6 +40,8 @@ plus, per variant, ``cfg_*{i}_par[1]`` parity bits and ``viol_q_b`` /
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -165,36 +167,70 @@ def _parity(value: int) -> int:
     return bin(value).count("1") & 1
 
 
+#: Bound of the memos below.  Each is keyed on the register values its
+#: result is a function of, so no entry can go stale after a write,
+#: ``set_registers`` or checkpoint restore; the bound only caps memory.
+_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _decode_config(values: tuple, n_regions: int) -> Optional[MpuConfigView]:
+    """The configuration held in configuration register ``values``.
+
+    ``values`` lists every base, then every top, then every perm, and
+    with parity protection one parity bit per value in the same order.
+    None when a parity bit disagrees: every access then violates.
+    """
+    n = 3 * n_regions
+    for value, parity in zip(values[:n], values[n:]):
+        if _parity(value) != (parity & 1):
+            return None
+    return MpuConfigView(
+        bases=values[:n_regions],
+        tops=values[n_regions:2 * n_regions],
+        perms=values[2 * n_regions:n],
+    )
+
+
 class MpuSemantics:
     """Variant-aware check semantics over a register-state dictionary.
 
     The one place that knows how configuration state (including parity
     bits) maps to an access decision.  Used by the behavioural model and
     the analytical evaluator so both always agree.
+
+    The configuration changes far more rarely than it is checked, so its
+    decode is memoized on the values of the configuration registers.
     """
 
     def __init__(self, memmap: MemoryMap = DEFAULT_MEMORY_MAP,
                  variant: MpuVariant = BASELINE_VARIANT):
         self.memmap = memmap
         self.variant = variant
+        names = tuple(
+            f"{prefix}{i}"
+            for _sel, prefix, _kind in _CFG_FIELDS
+            for i in range(memmap.n_mpu_regions)
+        )
+        if variant.cfg_parity:
+            names += tuple(f"{name}_par" for name in names)
+        self._config_values = operator.itemgetter(*names)
+
+    def _decode(self, registers: Mapping[str, int]) -> Optional[MpuConfigView]:
+        return _decode_config(
+            self._config_values(registers), self.memmap.n_mpu_regions
+        )
 
     def parity_error(self, registers: Mapping[str, int]) -> bool:
-        if not self.variant.cfg_parity:
-            return False
-        for i in range(self.memmap.n_mpu_regions):
-            for _sel, prefix, _kind in _CFG_FIELDS:
-                name = f"{prefix}{i}"
-                if _parity(registers[name]) != (registers[f"{name}_par"] & 1):
-                    return True
-        return False
+        return self.variant.cfg_parity and self._decode(registers) is None
 
     def violates(
         self, registers: Mapping[str, int], addr: int, write: bool, priv: bool
     ) -> bool:
         """Full decision, including the fail-secure parity check."""
-        if self.parity_error(registers):
+        config = self._decode(registers)
+        if config is None:
             return True
-        config = MpuConfigView.from_registers(registers, self.memmap.n_mpu_regions)
         return mpu_decision(config, addr, write, priv)
 
 
@@ -263,6 +299,16 @@ def _majority(bits: List[int]) -> int:
     return (a & b) | (b & c) | (a & c)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _mpu_outputs(values: tuple) -> MpuOutputs:
+    """Outputs from (viol rails..., grant rails..., sticky_flag, viol_addr)."""
+    n = (len(values) - 2) // 2
+    viol, grant = combine_decision_rails(list(values[:n]), list(values[n:2 * n]))
+    return MpuOutputs(
+        grant_q=grant, viol_q=viol, sticky_flag=values[-2], viol_addr=values[-1]
+    )
+
+
 def mpu_register_specs(
     memmap: MemoryMap = DEFAULT_MEMORY_MAP,
     variant: MpuVariant = BASELINE_VARIANT,
@@ -295,6 +341,12 @@ class MpuBehavioral:
     Bit-exact with the elaborated netlist of :func:`build_mpu_netlist` for
     every variant — the equivalence tests drive both with identical
     stimulus and compare every register every cycle.
+
+    The register names, widths and write-port targets are tabulated once
+    per instance, and the Moore outputs are memoized on the register
+    values they are a function of.  The access check runs only when a
+    captured request is valid (its result is discarded otherwise), and
+    its configuration decode is memoized by :class:`MpuSemantics`.
     """
 
     def __init__(
@@ -306,6 +358,31 @@ class MpuBehavioral:
         self.variant = variant
         self.semantics = MpuSemantics(memmap, variant)
         self._specs = mpu_register_specs(memmap, variant)
+        rails = variant.rails
+        self._rails = tuple((f"viol_q{r}", f"grant_q{r}") for r in rails)
+        self._output_values = operator.itemgetter(
+            *(f"viol_q{r}" for r in rails),
+            *(f"grant_q{r}" for r in rails),
+            "sticky_flag",
+            "viol_addr",
+        )
+        # The configuration write port in next-state build order (each
+        # value register followed by its parity bit), and its targets.
+        cfg_names: List[str] = []
+        self._cfg_targets: Dict[Tuple[int, int], Tuple[str, Optional[str], int]] = {}
+        for i in range(memmap.n_mpu_regions):
+            for field_sel, prefix, kind in _CFG_FIELDS:
+                name = f"{prefix}{i}"
+                parity_name = f"{name}_par" if variant.cfg_parity else None
+                width = memmap.addr_bits if kind == "addr" else 4
+                cfg_names.append(name)
+                if parity_name is not None:
+                    cfg_names.append(parity_name)
+                self._cfg_targets[(i, field_sel)] = (
+                    name, parity_name, (1 << width) - 1
+                )
+        self._cfg_names = tuple(cfg_names)
+        self._cfg_values = operator.itemgetter(*self._cfg_names)
         self.regs: Dict[str, int] = {}
         self.reset()
 
@@ -320,17 +397,7 @@ class MpuBehavioral:
 
     def outputs(self) -> MpuOutputs:
         """Moore outputs: functions of the current registers only."""
-        rails = self.variant.rails
-        viol, grant = combine_decision_rails(
-            [self.regs[f"viol_q{r}"] for r in rails],
-            [self.regs[f"grant_q{r}"] for r in rails],
-        )
-        return MpuOutputs(
-            grant_q=grant,
-            viol_q=viol,
-            sticky_flag=self.regs["sticky_flag"],
-            viol_addr=self.regs["viol_addr"],
-        )
+        return _mpu_outputs(self._output_values(self.regs))
 
     def check_violation(self) -> bool:
         """Combinational check of the *captured* request (cycle c+1 logic)."""
@@ -344,56 +411,45 @@ class MpuBehavioral:
     def step(self, inputs: MpuInputs) -> None:
         """One clock edge: compute all next-state values, then commit."""
         regs = self.regs
-        memmap = self.memmap
-        violation = self.check_violation() and bool(regs["req_valid"])
+        violation = bool(regs["req_valid"]) and self.check_violation()
 
-        nxt: Dict[str, int] = {}
         # Request capture: hold address/attributes when no new request so
         # the check logic sees a stable operand (matches the netlist muxes).
         if inputs.in_valid:
-            nxt["req_addr"] = inputs.in_addr & memmap.addr_mask
-            nxt["req_write"] = inputs.in_write & 1
-            nxt["req_priv"] = inputs.in_priv & 1
+            nxt: Dict[str, int] = {
+                "req_addr": inputs.in_addr & self.memmap.addr_mask,
+                "req_write": inputs.in_write & 1,
+                "req_priv": inputs.in_priv & 1,
+            }
         else:
-            nxt["req_addr"] = regs["req_addr"]
-            nxt["req_write"] = regs["req_write"]
-            nxt["req_priv"] = regs["req_priv"]
+            nxt = {
+                "req_addr": regs["req_addr"],
+                "req_write": regs["req_write"],
+                "req_priv": regs["req_priv"],
+            }
         nxt["req_valid"] = inputs.in_valid & 1
 
-        for rail in self.variant.rails:
-            nxt[f"viol_q{rail}"] = 1 if violation else 0
-            nxt[f"grant_q{rail}"] = (
-                1 if (regs["req_valid"] and not violation) else 0
-            )
+        viol = 1 if violation else 0
+        grant = 1 if (regs["req_valid"] and not violation) else 0
+        for viol_name, grant_name in self._rails:
+            nxt[viol_name] = viol
+            nxt[grant_name] = grant
         # The sticky status flag follows the *registered* decision: it is a
         # read-back of what the system acted on, one cycle later.
-        prev_viol, _prev_grant = combine_decision_rails(
-            [regs[f"viol_q{r}"] for r in self.variant.rails],
-            [regs[f"grant_q{r}"] for r in self.variant.rails],
-        )
-        sticky = regs["sticky_flag"] | prev_viol
+        sticky = regs["sticky_flag"] | self.outputs().viol_q
         nxt["sticky_flag"] = 0 if inputs.flag_clear else sticky
         nxt["viol_addr"] = regs["req_addr"] if violation else regs["viol_addr"]
 
         # Configuration write port.
-        for i in range(memmap.n_mpu_regions):
-            for field_sel, prefix, kind in _CFG_FIELDS:
-                reg_name = f"{prefix}{i}"
-                width = memmap.addr_bits if kind == "addr" else 4
-                written = (
-                    inputs.cfg_we
-                    and inputs.cfg_index == i
-                    and inputs.cfg_field == field_sel
-                )
-                if written:
-                    value = inputs.cfg_wdata & ((1 << width) - 1)
-                    nxt[reg_name] = value
-                    if self.variant.cfg_parity:
-                        nxt[f"{reg_name}_par"] = _parity(value)
-                else:
-                    nxt[reg_name] = regs[reg_name]
-                    if self.variant.cfg_parity:
-                        nxt[f"{reg_name}_par"] = regs[f"{reg_name}_par"]
+        nxt.update(zip(self._cfg_names, self._cfg_values(regs)))
+        if inputs.cfg_we:
+            target = self._cfg_targets.get((inputs.cfg_index, inputs.cfg_field))
+            if target is not None:
+                name, parity_name, mask = target
+                value = inputs.cfg_wdata & mask
+                nxt[name] = value
+                if parity_name is not None:
+                    nxt[parity_name] = _parity(value)
 
         self.regs = nxt
 

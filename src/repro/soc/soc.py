@@ -35,12 +35,18 @@ class MpuTraceEntry:
 
     ``inputs`` are the MPU port values during the cycle and ``state`` the
     MPU register values at the start of it — exactly the two things the
-    bit-parallel gate-level re-simulation needs.
+    bit-parallel gate-level re-simulation needs.  ``cycle`` counts from
+    the last reset or checkpoint restore, so it is the cycle simulated.
     """
 
     cycle: int
     inputs: Dict[str, int]
     state: Dict[str, int]
+
+
+#: MPU stimulus of a cycle that issues no request, writes no configuration
+#: and clears no flag (most cycles); the MPU only reads its inputs.
+_IDLE_INPUTS = MpuInputs()
 
 
 class Soc(Device):
@@ -110,17 +116,21 @@ class Soc(Device):
         if bus_status.stage == 2 and not bus_status.free:
             rdata = self.bus.commit_cycle(bool(mpu_out.grant_q), self.memory, self.dma)
 
-        mpu_inputs = MpuInputs(
-            in_addr=issued.addr if issued else 0,
-            in_write=1 if (issued and issued.write) else 0,
-            in_priv=1 if (issued and issued.priv) else 0,
-            in_valid=1 if issued else 0,
-            cfg_we=1 if core_comb.cfg_write else 0,
-            cfg_index=core_comb.cfg_write[0] if core_comb.cfg_write else 0,
-            cfg_field=core_comb.cfg_write[1] if core_comb.cfg_write else 0,
-            cfg_wdata=core_comb.cfg_write[2] if core_comb.cfg_write else 0,
-            flag_clear=1 if core_comb.flag_clear else 0,
-        )
+        cfg_write = core_comb.cfg_write
+        if issued or cfg_write or core_comb.flag_clear:
+            mpu_inputs = MpuInputs(
+                in_addr=issued.addr if issued else 0,
+                in_write=1 if (issued and issued.write) else 0,
+                in_priv=1 if (issued and issued.priv) else 0,
+                in_valid=1 if issued else 0,
+                cfg_we=1 if cfg_write else 0,
+                cfg_index=cfg_write[0] if cfg_write else 0,
+                cfg_field=cfg_write[1] if cfg_write else 0,
+                cfg_wdata=cfg_write[2] if cfg_write else 0,
+                flag_clear=1 if core_comb.flag_clear else 0,
+            )
+        else:
+            mpu_inputs = _IDLE_INPUTS
 
         if self.record_mpu_trace:
             self.mpu_trace.append(
@@ -138,11 +148,13 @@ class Soc(Device):
         self.core.commit(core_comb.next_regs)
         self._cycle += 1
 
+    def set_cycle(self, cycle: int) -> None:
+        self._cycle = cycle
+
     def get_registers(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for part in (self.core, self.mpu, self.bus, self.dma):
-            out.update(part.get_registers())
-        return out
+        return {
+            **self.core.regs, **self.mpu.regs, **self.bus.regs, **self.dma.regs
+        }
 
     def set_registers(self, values: Mapping[str, int]) -> None:
         core_vals: Dict[str, int] = {}

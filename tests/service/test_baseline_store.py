@@ -225,6 +225,39 @@ class TestEngineIntegration:
         assert ratio == [1.0]
 
 
+class TestTraceEntryCycle:
+    """The persisted trace entry names the cycle it records, so a stored
+    artifact's bytes do not depend on what its process simulated before."""
+
+    def test_entry_cycle_is_the_requested_cycle_in_any_order(self, engine):
+        for cycle in (30, 5, 17, 5, 29):
+            engine._cycle_cache.clear()
+            entry, post_step, _ = engine._cycle_state(cycle, None)
+            assert entry.cycle == cycle
+            assert post_step.cycle == cycle + 1
+
+    def test_loaded_baseline_equals_one_recomputed_elsewhere(
+        self, small_context, artifact_root
+    ):
+        spec = default_attack_spec(
+            small_context, window=8, subblock_fraction=0.25
+        )
+        writer = CrossLevelEngine(
+            small_context, spec,
+            baseline_store=_store_for(artifact_root, small_context),
+        )
+        for cycle in (40, 12):
+            writer._cycle_state(cycle, None)
+        loaded_entry, loaded_post, _ = _store_for(
+            artifact_root, small_context
+        ).load(12)
+        other = CrossLevelEngine(small_context, spec)
+        other._cycle_state(33, None)
+        entry, post_step, _ = other._cycle_state(12, None)
+        assert loaded_entry == entry
+        assert loaded_post == post_step
+
+
 def _hit_count(metrics):
     return sum(
         m["value"] for m in metrics

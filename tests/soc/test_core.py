@@ -158,6 +158,20 @@ class TestMemoryOps:
         soc.step()
         assert soc.core.regs["core_state"] == CoreState.RUN
 
+    @pytest.mark.parametrize("state", [5, 6, 7])
+    def test_out_of_range_state_raises(self, state):
+        """``core_state`` is 3 bits wide for 5 states: an upset that leaves
+        it at 5-7 raises on the next step instead of executing."""
+        soc = Soc()
+        soc.load_program(assemble("li r1, 0x300\nsw r1, r1, 0\nhalt").words)
+        soc.reset()
+        soc.step()
+        soc.set_registers({"core_state": state})
+        before = soc.get_registers()
+        with pytest.raises(ValueError):
+            soc.step()
+        assert soc.get_registers() == before
+
 
 class TestPrivilegeAndTraps:
     def test_boot_mode_is_privileged(self):

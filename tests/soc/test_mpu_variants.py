@@ -6,6 +6,8 @@ operation, and (c) show its documented security property under the
 corresponding fault class.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.gatesim.logic import LogicEvaluator
+from repro.soc.memmap import DEFAULT_MEMORY_MAP
 from repro.soc.mpu import (
     MpuBehavioral,
     MpuInputs,
@@ -115,6 +118,83 @@ class TestCrossLevelEquivalence:
             prev = beh.outputs()
             assert outs["grant_q"] == prev.grant_q
             assert outs["viol_q"] == prev.viol_q
+            beh.step(inp)
+            assert beh.get_registers() == nxt
+
+
+#: Every variant, the baseline included.
+ALL_VARIANTS = [MpuVariant()] + VARIANTS
+
+#: Requests that land inside the configured regions (and the DMA window),
+#: so flipped configuration bits change decisions.
+mapped_stimulus = st.builds(
+    MpuInputs,
+    in_addr=st.integers(0, 0x1810),
+    in_write=st.integers(0, 1),
+    in_priv=st.integers(0, 1),
+    in_valid=st.integers(0, 1),
+    cfg_we=st.sampled_from([0, 0, 0, 1]),
+    cfg_index=st.integers(0, 7),
+    cfg_field=st.integers(0, 2),
+    cfg_wdata=st.integers(0, 0x1FFF),
+    flag_clear=st.integers(0, 1),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluator(variant):
+    return LogicEvaluator(build_mpu_netlist(variant=variant))
+
+
+def _boot_config(variant):
+    """The default memory map's region configuration, parity included."""
+    values = {}
+    for i, region in enumerate(DEFAULT_MEMORY_MAP.default_regions()):
+        for prefix, value in (
+            ("cfg_base", region.base),
+            ("cfg_top", region.top),
+            ("cfg_perm", region.perm_bits()),
+        ):
+            values[f"{prefix}{i}"] = value
+            if variant.cfg_parity:
+                values[f"{prefix}{i}_par"] = bin(value).count("1") & 1
+    return values
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.name)
+class TestLongLivedCrossLevel:
+    """One behavioural instance lives through the whole stimulus, with
+    seeded single-bit ``set_registers`` writes between its steps, so any
+    state the step keeps between cycles meets configuration, parity,
+    decision-rail and request registers changed behind its back (and
+    flipped back again)."""
+
+    @given(
+        stimulus=st.lists(mapped_stimulus, min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_bit_exact_with_writes_between_steps(self, variant, stimulus, seed):
+        ev = _evaluator(variant)
+        beh = MpuBehavioral(variant=variant)
+        beh.set_registers(_boot_config(variant))
+        specs = beh.register_specs()
+        names = sorted(specs)
+        rng = np.random.default_rng(seed)
+        for inp in stimulus:
+            for _ in range(int(rng.integers(0, 3))):
+                name = names[int(rng.integers(len(names)))]
+                bit = int(rng.integers(specs[name].width))
+                beh.set_registers({name: beh.regs[name] ^ (1 << bit)})
+            outs, nxt = ev.step(inp.as_port_dict(), beh.get_registers())
+            prev = beh.outputs()
+            assert outs["grant_q"] == prev.grant_q
+            assert outs["viol_q"] == prev.viol_q
+            assert outs["sticky_flag"] == prev.sticky_flag
+            assert outs["viol_addr"] == prev.viol_addr
+            assert outs["violation_comb"] == int(
+                beh.check_violation() and beh.regs["req_valid"]
+            )
             beh.step(inp)
             assert beh.get_registers() == nxt
 

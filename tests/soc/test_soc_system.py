@@ -105,6 +105,24 @@ class TestMpuTraceRecording:
         soc.flip_register_bit("req_addr", 0)
         assert trace[10].state == before
 
+    def test_trace_cycle_counts_from_the_restored_checkpoint(self, soc):
+        """An entry's cycle is the cycle it simulates, whatever ran before:
+        a restore rewinds the count along with the state."""
+        sim = RtlSimulator(soc)
+        golden = sim.golden_run(120, checkpoint_interval=25)
+        for cycle in (70, 30, 30, 99, 0):
+            sim.restart_from(golden, cycle)
+            soc.record_mpu_trace = True
+            soc.mpu_trace = []
+            sim.run_to(cycle + 3)
+            soc.record_mpu_trace = False
+            assert [e.cycle for e in soc.mpu_trace] == [cycle, cycle + 1, cycle + 2]
+        checkpoint = golden.checkpoints.at(50)
+        checkpoint.restore(soc)
+        soc.record_mpu_trace = True
+        soc.step()
+        assert soc.mpu_trace[-1].cycle == 50
+
     def test_trace_inputs_have_all_ports(self, soc):
         soc.record_mpu_trace = True
         soc.step()
