@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.gatesim.logic import LogicEvaluator, NodeValues
 from repro.gatesim.timing import TimingModel
-from repro.netlist.cells import gate_sensitized
 from repro.netlist.graph import Netlist
 
 
@@ -88,17 +87,20 @@ class CycleBaseline:
     Everything here is a pure function of ``(inputs, state)`` — the golden
     stimulus of the cycle — and therefore shared by every sample injected
     into that cycle: the settled node values, the fault-free next state,
-    and a lazily-filled memo of per-(node, pin) sensitization verdicts
-    (logical masking depends only on the baseline side-input values, never
-    on the injected pulses).  Built once per (injection cycle, cone) by
+    and the per-node pin-sensitization mask (bit ``pin`` of byte ``nid``
+    set iff a pulse on that pin passes the gate; logical masking depends
+    only on the baseline side-input values, never on the injected
+    pulses).  Built once per (injection cycle, cone) by
     :meth:`TransientSimulator.make_baseline` and cached at the engine
     level, so batched evaluation computes golden logic values once per
-    cycle instead of once per sample.
+    cycle instead of once per sample.  The mask is derived, never
+    persisted: a baseline loaded with ``pin_mask=None`` gets it on first
+    use.
     """
 
     values: NodeValues
     golden_next: Dict[str, int]
-    sensitized: Dict[Tuple[int, int], bool] = field(default_factory=dict)
+    pin_mask: Optional[bytes] = None
 
 
 class TransientSimulator:
@@ -114,21 +116,25 @@ class TransientSimulator:
         self.timing = timing or TimingModel()
         self.evaluator = LogicEvaluator(netlist)
         self.max_pulses_per_node = max_pulses_per_node
+        nodes = netlist.nodes
+        self._combinational = [False] * len(nodes)
+        for nid in netlist.topo_order():  # exactly the combinational nodes
+            self._combinational[nid] = True
+        self._delay = [self.timing.gate_delay(n.kind) for n in nodes]
         self._arrival = self._compute_arrival_times()
-        self._dffs = [n for n in netlist.nodes if n.is_dff and n.fanins]
+        self._dffs = [n for n in nodes if n.is_dff and n.fanins]
+        # D-pin node -> indices into ``_dffs`` of the flops it feeds.
+        self._dffs_at: Dict[int, List[int]] = {}
+        for di, node in enumerate(self._dffs):
+            self._dffs_at.setdefault(node.fanins[0], []).append(di)
 
     def _compute_arrival_times(self) -> List[float]:
         """Static settle time of each node output within a cycle."""
         arrival = [0.0] * len(self.netlist)
         for nid in self.netlist.topo_order():
-            node = self.netlist.node(nid)
-            delay = self.timing.gate_delay(node.kind)
-            arrival[nid] = delay + max(self._safe_arrival(arrival, f) for f in node.fanins)
+            fanins = self.netlist.nodes[nid].fanins
+            arrival[nid] = self._delay[nid] + max(arrival[f] for f in fanins)
         return arrival
-
-    @staticmethod
-    def _safe_arrival(arrival: List[float], nid: int) -> float:
-        return arrival[nid]
 
     # ------------------------------------------------------------------
     # main entry point
@@ -144,19 +150,25 @@ class TransientSimulator:
         ``inputs``/``state`` are the word-level stimulus and register state
         at the start of the cycle (provided by the RTL simulation).
         """
-        values = self.evaluator.evaluate(inputs, state)
-        baseline = CycleBaseline(
-            values=values, golden_next=self.evaluator.next_state(values)
-        )
-        return self._simulate(baseline, [injection])[0]
+        return self._simulate(self._baseline(inputs, state), [injection])[0]
 
     def make_baseline(
         self, inputs: Mapping[str, int], state: Mapping[str, int]
     ) -> CycleBaseline:
         """Evaluate the golden logic of one cycle for reuse across samples."""
+        return self._baseline(inputs, state)
+
+    def _baseline(
+        self, inputs: Mapping[str, int], state: Mapping[str, int]
+    ) -> CycleBaseline:
+        # Shared by simulate_cycle, which does not go through
+        # make_baseline: timers around make_baseline (perfbench's
+        # gatesim.baseline span) count only the shared per-cycle ones.
         values = self.evaluator.evaluate(inputs, state)
         return CycleBaseline(
-            values=values, golden_next=self.evaluator.next_state(values)
+            values=values,
+            golden_next=self.evaluator.next_state(values),
+            pin_mask=self.evaluator.pin_mask(values),
         )
 
     def simulate_cycle_batch(
@@ -183,6 +195,8 @@ class TransientSimulator:
         baseline: CycleBaseline,
         injections: Sequence[TransientInjection],
     ) -> List[TransientResult]:
+        if baseline.pin_mask is None:  # loaded from a store: values only
+            baseline.pin_mask = self.evaluator.pin_mask(baseline.values)
         per_sample = [self._seed_pulses(inj) for inj in injections]
         n_injected = [sum(len(p) for p in ps.values()) for ps in per_sample]
         for pulses in per_sample:
@@ -240,8 +254,7 @@ class TransientSimulator:
     def _seed_pulses(self, injection: TransientInjection) -> Dict[int, List[Pulse]]:
         pulses: Dict[int, List[Pulse]] = {}
         for nid, width in injection.gate_pulses.items():
-            node = self.netlist.node(nid)
-            if not node.kind.is_combinational:
+            if not self._combinational[nid]:
                 continue  # strikes on non-gates handled via struck_dffs
             if width < self.timing.min_pulse_ps:
                 continue
@@ -260,28 +273,27 @@ class TransientSimulator:
         gates.  Ascending node id is such an order, because
         :meth:`Netlist.add_gate` only accepts fanins that already exist.
         A combinational consumer is pushed only through a pin the
-        baseline sensitizes, and every pin a node drives is tested, since
-        one node can feed a gate twice.  A node off that cone can never
-        receive a pulse, and each popped node gets the full-netlist
-        sweep's update — same (pin, fanin) order, attenuation, merge and
-        truncation — so the final pulse map is bit-identical to sweeping
-        every node.
+        baseline's pin mask sensitizes, and every pin a node drives is
+        tested, since one node can feed a gate twice.  A node off that
+        cone can never receive a pulse, and each popped node gets the
+        full-netlist sweep's update — same (pin, fanin) order,
+        attenuation, merge and truncation — so the final pulse map is
+        bit-identical to sweeping every node.
         """
         nodes = self.netlist.nodes
         fanouts = self.netlist.fanouts()
+        mask = baseline.pin_mask
         heap = list(pulses)
         heapq.heapify(heap)
         queued = set(heap)
         while heap:
             nid = heapq.heappop(heap)
-            node = nodes[nid]
+            sensitized = mask[nid]
+            delay = self._delay[nid]
             incoming: List[Pulse] = []
-            for pin, f in enumerate(node.fanins):
-                if f not in pulses:
-                    continue
-                if not self._pin_sensitized(baseline, node, pin):
-                    continue  # logical masking
-                delay = self.timing.gate_delay(node.kind)
+            for pin, f in enumerate(nodes[nid].fanins):
+                if f not in pulses or not (sensitized >> pin) & 1:
+                    continue  # no pulse, or logical masking
                 for pulse in pulses[f]:
                     width = self.timing.attenuate(pulse.width_ps)
                     if width <= 0:
@@ -296,24 +308,14 @@ class TransientSimulator:
             elif nid not in pulses:
                 continue  # every arriving pulse was masked
             for c in fanouts[nid]:
-                consumer = nodes[c]
-                if consumer.is_dff or c in queued:
+                if c in queued:
                     continue
-                for pin, f in enumerate(consumer.fanins):
-                    if f == nid and self._pin_sensitized(baseline, consumer, pin):
+                sensitized = mask[c]  # 0 for flip-flops
+                for pin, f in enumerate(nodes[c].fanins):
+                    if f == nid and (sensitized >> pin) & 1:
                         queued.add(c)
                         heapq.heappush(heap, c)
                         break
-
-    def _pin_sensitized(self, baseline: CycleBaseline, node, pin: int) -> bool:
-        """Memoized :func:`gate_sensitized` on the baseline node values."""
-        key = (node.nid, pin)
-        verdict = baseline.sensitized.get(key)
-        if verdict is None:
-            in_vals = [int(baseline.values[x]) for x in node.fanins]
-            verdict = gate_sensitized(node.kind, in_vals, pin)
-            baseline.sensitized[key] = verdict
-        return verdict
 
     def _latch_batch(
         self, per_sample: Sequence[Dict[int, List[Pulse]]]
@@ -331,10 +333,12 @@ class TransientSimulator:
         widths: List[float] = []
         owners: List[Tuple[int, int]] = []
         for b, pulses in enumerate(per_sample):
-            if not pulses:
-                continue
-            for di, node in enumerate(self._dffs):
-                for pulse in pulses.get(node.fanins[0], ()):
+            # Only flops whose D pin carries a pulse, in ``_dffs`` order.
+            hit = sorted(
+                di for nid in pulses for di in self._dffs_at.get(nid, ())
+            )
+            for di in hit:
+                for pulse in pulses[self._dffs[di].fanins[0]]:
                     starts.append(pulse.start_ps)
                     widths.append(pulse.width_ps)
                     owners.append((b, di))

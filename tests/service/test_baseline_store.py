@@ -76,6 +76,25 @@ class TestRoundTrip:
         assert l_baseline.golden_next == baseline.golden_next
         assert (store.hits, store.misses) == (1, 0)
 
+    def test_loaded_baseline_derives_the_recomputed_pin_mask(
+        self, artifact_root, engine
+    ):
+        """The pin mask is derived, never persisted: a loaded baseline
+        carries values only and gets, on first use, the mask a fresh
+        engine recomputes from scratch."""
+        store = _store_for(artifact_root, engine.context)
+        entry, post_step, baseline = engine._cycle_state(5, None)
+        store.save(5, entry, post_step, baseline)
+        assert "pin_mask" not in json.loads(store._path(5).read_text())["state"]
+        _, _, loaded = store.load(5)
+        assert loaded.pin_mask is None
+        engine.transient_sim.simulate_cycle_batch(
+            entry.inputs, entry.state, [], baseline=loaded
+        )
+        fresh = CrossLevelEngine(engine.context, engine.spec)
+        _, _, recomputed = fresh._cycle_state(5, None)
+        assert loaded.pin_mask == recomputed.pin_mask
+
     def test_absent_cycle_is_a_miss_unless_probed(self, artifact_root, engine):
         store = _store_for(artifact_root, engine.context)
         assert store.load(3) is None
@@ -205,6 +224,7 @@ class TestEngineIntegration:
         )
         r1 = first.evaluate(sampler, 40, seed=np.random.SeedSequence(21))
         assert first.baseline_store.writes > 0
+        assert first.baseline_store.hits == 0  # a cold engine
 
         second = CrossLevelEngine(
             small_context, spec,
@@ -212,6 +232,12 @@ class TestEngineIntegration:
         )
         warmed = second.warm_baseline_cache()
         assert warmed > 0
+        # Loaded baselines carry values only; the batched run derives
+        # each one's pin mask and must match the cold first run.
+        assert all(
+            baseline.pin_mask is None
+            for _, _, baseline in second._cycle_cache.values()
+        )
         r2 = second.evaluate(sampler, 40, seed=np.random.SeedSequence(21))
         assert second.baseline_store.misses == 0
         assert second.baseline_store.hits >= warmed

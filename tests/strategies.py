@@ -70,6 +70,44 @@ def random_netlists(draw):
     return nl
 
 
+@st.composite
+def random_word_netlists(draw):
+    """A random netlist over multi-bit input ports and registers.
+
+    The first input port and the first register are 65-72 bits wide, so a
+    word packing that shifts through ``int64`` would drop their top bits;
+    output ``q`` exposes that register's Q side word for word.
+    """
+    nl = Netlist("random-words")
+    pool = []
+    in_widths = [draw(st.integers(65, 72))]
+    in_widths += draw(st.lists(st.integers(1, 8), max_size=3))
+    for p, width in enumerate(in_widths):
+        pool += [nl.add_input(f"in{p}[{i}]") for i in range(width)]
+    reg_widths = [draw(st.integers(65, 72))]
+    reg_widths += draw(st.lists(st.integers(1, 8), max_size=3))
+    dffs = []
+    for r, width in enumerate(reg_widths):
+        dffs += [
+            nl.add_dff(name=f"r{r}[{i}]", register=f"r{r}", bit=i)
+            for i in range(width)
+        ]
+    pool += dffs + [nl.add_const(0), nl.add_const(1)]
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(COMB_KINDS))
+        arity = {GateKind.NOT: 1, GateKind.BUF: 1, GateKind.MUX: 3}.get(kind, 2)
+        fanins = [draw(st.sampled_from(pool)) for _ in range(arity)]
+        pool.append(nl.add_gate(kind, *fanins))
+    for dff in dffs:
+        nl.connect_dff(dff, draw(st.sampled_from(pool)))
+    for i, nid in enumerate(nl.registers["r0"]):
+        nl.mark_output(f"q[{i}]", nid)
+    for i in range(draw(st.integers(1, 70))):
+        nl.mark_output(f"out[{i}]", draw(st.sampled_from(pool)))
+    nl.validate()
+    return nl
+
+
 def with_masked_dff(nl: Netlist, register: str, mask_name: str = "mask") -> Netlist:
     """Clone ``nl`` with an AND masking gate on one register's D pin.
 
