@@ -11,9 +11,8 @@ included to demonstrate the framework is technique-agnostic.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from repro.gatesim.timing import TimingModel
 from repro.gatesim.transient import TransientInjection
 from repro.netlist.cells import GateKind
 from repro.netlist.placement import Placement
-from repro.utils.rng import SeedLike, as_generator
 
 
 class AttackTechnique(abc.ABC):
@@ -94,24 +92,21 @@ class RadiationTechnique(AttackTechnique):
     ) -> TransientInjection:
         if radius_um <= 0:
             raise AttackModelError("radiation radius must be positive")
-        hit = placement.within_radius(centre, radius_um)
+        hit = placement.footprint(centre, radius_um)
         strike_time = float(rng.uniform(0.0, self.timing.clock_period_ps))
         gate_pulses: Dict[int, float] = {}
         struck_dffs: List[int] = []
-        for nid in hit:
-            node = placement.netlist.node(nid)
-            distance = placement.distance(centre, nid)
-            if node.kind is GateKind.DFF:
-                if self.target_filter == "comb_only":
-                    continue
-                if distance <= self.dff_upset_fraction * radius_um:
-                    struck_dffs.append(nid)
-            elif node.kind.is_combinational:
-                if self.target_filter == "seq_only":
-                    continue
-                width = self.peak_width_ps * max(0.0, 1.0 - distance / radius_um)
-                if width > 0:
-                    gate_pulses[nid] = width
+        if self.target_filter != "comb_only":
+            upset = hit.dff & (hit.distances <= self.dff_upset_fraction * radius_um)
+            struck_dffs = hit.nodes[upset].tolist()
+        if self.target_filter != "seq_only":
+            # A cell at or past the rim gets a width <= 0, which the
+            # ``> 0`` test drops just as it would a width clamped to 0.
+            widths = self.peak_width_ps * (1.0 - hit.distances / radius_um)
+            pulsed = hit.comb & (widths > 0)
+            gate_pulses = dict(
+                zip(hit.nodes[pulsed].tolist(), widths[pulsed].tolist())
+            )
         return TransientInjection(
             gate_pulses=gate_pulses,
             struck_dffs=struck_dffs,
@@ -172,17 +167,15 @@ class ClockGlitchTechnique(AttackTechnique):
         radius_um: float,
         rng: np.random.Generator,
     ) -> TransientInjection:
-        hit = placement.within_radius(centre, radius_um)
+        hit = placement.footprint(centre, radius_um)
         threshold = self.timing.clock_period_ps - self.glitch_depth_ps
-        sim_arrival = _arrival_times(placement)
-        gate_pulses: Dict[int, float] = {}
-        for nid in hit:
-            node = placement.netlist.node(nid)
-            if not node.kind.is_combinational:
-                continue
-            if sim_arrival[nid] >= threshold:
-                # The net is still settling when the glitched edge samples.
-                gate_pulses[nid] = self.glitch_depth_ps
+        arrival = placement.netlist.arrival_times()
+        # A net still settling when the glitched edge samples is hit.
+        gate_pulses: Dict[int, float] = {
+            nid: self.glitch_depth_ps
+            for nid in hit.nodes[hit.comb].tolist()
+            if arrival[nid] >= threshold
+        }
         strike_time = self.timing.clock_period_ps - self.glitch_depth_ps
         return TransientInjection(gate_pulses=gate_pulses, strike_time_ps=strike_time)
 
@@ -206,36 +199,15 @@ class VoltageGlitchTechnique(AttackTechnique):
     ) -> TransientInjection:
         if self.slowdown <= 1.0:
             raise AttackModelError("slowdown must exceed 1.0")
-        hit = placement.within_radius(centre, radius_um)
-        sim_arrival = _arrival_times(placement)
+        hit = placement.footprint(centre, radius_um)
+        arrival = placement.netlist.arrival_times()
         lo, _hi = self.timing.latch_window
-        gate_pulses: Dict[int, float] = {}
-        for nid in hit:
-            node = placement.netlist.node(nid)
-            if not node.kind.is_combinational:
-                continue
-            if sim_arrival[nid] * self.slowdown >= lo:
-                gate_pulses[nid] = self.width_ps
+        gate_pulses: Dict[int, float] = {
+            nid: self.width_ps
+            for nid in hit.nodes[hit.comb].tolist()
+            if arrival[nid] * self.slowdown >= lo
+        }
         return TransientInjection(
             gate_pulses=gate_pulses,
             strike_time_ps=float(rng.uniform(0.0, self.timing.clock_period_ps)),
         )
-
-
-_ARRIVAL_CACHE: Dict[int, List[float]] = {}
-
-
-def _arrival_times(placement: Placement) -> List[float]:
-    """Static settle times per node (cached per netlist identity)."""
-    key = id(placement.netlist)
-    if key not in _ARRIVAL_CACHE:
-        netlist = placement.netlist
-        from repro.netlist.cells import CELL_LIBRARY
-
-        arrival = [0.0] * len(netlist)
-        for nid in netlist.topo_order():
-            node = netlist.node(nid)
-            delay = CELL_LIBRARY[node.kind].delay_ps
-            arrival[nid] = delay + max(arrival[f] for f in node.fanins)
-        _ARRIVAL_CACHE[key] = arrival
-    return _ARRIVAL_CACHE[key]

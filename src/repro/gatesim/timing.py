@@ -89,13 +89,7 @@ def for_netlist(netlist, slack_fraction: float = 0.25, **overrides) -> TimingMod
     ``period = critical_path * (1 + slack_fraction)``, mirroring how a real
     design is clocked at its slowest path plus margin.
     """
-    from repro.netlist.cells import CELL_LIBRARY
-
-    arrival = [0.0] * len(netlist)
-    for nid in netlist.topo_order():
-        node = netlist.node(nid)
-        delay = CELL_LIBRARY[node.kind].delay_ps
-        arrival[nid] = delay + max(arrival[f] for f in node.fanins)
+    arrival = netlist.arrival_times()
     critical = max(arrival) if arrival else 1000.0
     period = critical * (1.0 + slack_fraction)
     return TimingModel(clock_period_ps=period, **overrides)

@@ -84,6 +84,7 @@ class Netlist:
         self._fanouts: Optional[List[List[int]]] = None
         self._topo: Optional[List[int]] = None
         self._levels: Optional[List[int]] = None
+        self._arrival: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -92,6 +93,7 @@ class Netlist:
         self._fanouts = None
         self._topo = None
         self._levels = None
+        self._arrival = None
 
     def _new_node(self, node: Node) -> int:
         self.nodes.append(node)
@@ -258,6 +260,20 @@ class Netlist:
             lv[nid] = 1 + max(lv[f] for f in node.fanins)
         self._levels = lv
         return lv
+
+    def arrival_times(self) -> List[float]:
+        """Static settle time per node (ps), from the cell library delays:
+        sources at 0, gates at their delay plus the latest fanin."""
+        if self._arrival is not None:
+            return self._arrival
+        arrival = [0.0] * len(self.nodes)
+        for nid in self.topo_order():
+            node = self.nodes[nid]
+            arrival[nid] = CELL_LIBRARY[node.kind].delay_ps + max(
+                arrival[f] for f in node.fanins
+            )
+        self._arrival = arrival
+        return arrival
 
     # ------------------------------------------------------------------
     # metrics and validation

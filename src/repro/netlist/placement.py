@@ -12,14 +12,34 @@ register bank contiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import NetlistError
+from repro.netlist.cells import GateKind
 from repro.netlist.graph import Netlist
 from repro.utils.rng import SeedLike, as_generator
+
+#: Kinds without a silicon footprint, and kinds that are not gates.
+_NON_PHYSICAL = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
+_NON_GATE = _NON_PHYSICAL + (GateKind.DFF,)
+
+
+class Footprint(NamedTuple):
+    """The cells one strike hits, as parallel arrays.
+
+    ``nodes`` lists them in :meth:`Placement.within_radius` order,
+    ``distances`` holds :meth:`Placement.distance` from the centre, and
+    ``dff``/``comb`` flag the flip-flops and combinational gates (a
+    non-physical centre is neither).
+    """
+
+    nodes: np.ndarray
+    distances: np.ndarray
+    dff: np.ndarray
+    comb: np.ndarray
 
 
 @dataclass
@@ -30,6 +50,9 @@ class Placement:
     x: np.ndarray
     y: np.ndarray
     pitch_um: float
+    _footprints: Dict[Tuple[int, float], Footprint] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def position(self, nid: int) -> Tuple[float, float]:
         return float(self.x[nid]), float(self.y[nid])
@@ -40,18 +63,57 @@ class Placement:
         Only physical cells are returned (inputs/constants have no silicon
         footprint and are excluded); the centre cell is always included.
         """
-        cx, cy = self.position(centre)
-        d2 = (self.x - cx) ** 2 + (self.y - cy) ** 2
-        hits = np.nonzero(d2 <= radius_um * radius_um)[0]
+        nodes = self.netlist.nodes
         physical = [
-            int(nid)
-            for nid in hits
-            if self.netlist.node(int(nid)).kind.value
-            not in ("input", "const0", "const1")
+            nid
+            for nid in self._near(centre, radius_um).tolist()
+            if nodes[nid].kind not in _NON_PHYSICAL
         ]
         if centre not in physical:
             physical.append(centre)
         return physical
+
+    def reached_from(self, nid: int, radius_um: float) -> np.ndarray:
+        """Node ids whose ``within_radius(., radius_um)`` contains ``nid``.
+
+        The distance test squares coordinate differences, so it is
+        symmetric bit for bit: a physical cell is reached from every node
+        within the radius, a non-physical one only from itself.
+        """
+        if self.netlist.nodes[nid].kind in _NON_PHYSICAL:
+            return np.array([nid], dtype=np.int64)
+        return self._near(nid, radius_um)
+
+    def _near(self, nid: int, radius_um: float) -> np.ndarray:
+        """Every node id, of any kind, within ``radius_um`` of ``nid``."""
+        cx, cy = self.position(nid)
+        d2 = (self.x - cx) ** 2 + (self.y - cy) ** 2
+        return np.flatnonzero(d2 <= radius_um * radius_um)
+
+    def footprint(self, centre: int, radius_um: float) -> Footprint:
+        """The strike footprint of ``within_radius``, memoized per
+        (centre, radius).
+
+        A campaign strikes universe centres at the radius distribution's
+        radii, so the memo is bounded by universe × radii.
+        """
+        key = (centre, radius_um)
+        found = self._footprints.get(key)
+        if found is None:
+            nodes = np.array(self.within_radius(centre, radius_um), dtype=np.int64)
+            cx, cy = self.position(centre)
+            xs, ys = self.x[nodes].tolist(), self.y[nodes].tolist()
+            kinds = [self.netlist.nodes[nid].kind for nid in nodes.tolist()]
+            dff = GateKind.DFF
+            found = self._footprints[key] = Footprint(
+                nodes=nodes,
+                distances=np.array(
+                    [math.hypot(cx - x, cy - y) for x, y in zip(xs, ys)]
+                ),
+                dff=np.array([kind is dff for kind in kinds], dtype=bool),
+                comb=np.array([kind not in _NON_GATE for kind in kinds], dtype=bool),
+            )
+        return found
 
     def distance(self, a: int, b: int) -> float:
         ax, ay = self.position(a)

@@ -30,71 +30,89 @@ stay exact either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.attack.spec import AttackSample, AttackSpec
 from repro.errors import SamplingError
 from repro.precharac.characterization import SystemCharacterization
-from repro.sampling.base import Sampler
+from repro.sampling.base import Sampler, draw_index, inverse_cdf
 
 
-def _extend_persistent(
-    correlations: Dict[Tuple[int, int], float],
-    characterization,
-    frames: List[int],
-) -> Dict[Tuple[int, int], float]:
-    """Persistence extension of the correlation field.
-
-    A node whose error lifetime spans the whole horizon holds its fault
-    indefinitely (a memory-type element), so injecting at *any* timing
-    distance ``t >= 1`` is equivalent: correlation evidence observed at one
-    frame applies at every frame the node belongs to.  This is Observation
-    3 applied to the correlation field rather than to the estimator.
-    """
-    threshold = (
-        characterization.config.memory_lifetime_frac
-        * characterization.config.lifetime_horizon
-    )
-    best: Dict[int, float] = {}
-    for (nid, _frame), value in correlations.items():
-        if characterization.L(nid) >= threshold and value > best.get(nid, 0.0):
-            best[nid] = value
-    extended = dict(correlations)
-    for nid, value in best.items():
-        frames_of = characterization.cones.depths_of(nid)
-        for frame in frames:
-            if frame >= 1 and frame in frames_of:
-                key = (nid, frame)
-                if extended.get(key, 0.0) < value:
-                    extended[key] = value
-    return extended
-
-
-def _smear_correlations(
-    correlations: Dict[Tuple[int, int], float],
+def _correlation_table(
+    characterization: SystemCharacterization,
+    universe: Sequence[int],
+    frames: Sequence[int],
     placement,
-    radius_um: float,
-) -> Dict[Tuple[int, int], float]:
-    """Spread each (node, frame) correlation to the node's neighbourhood.
+    radius_um: Optional[float],
+    persistence_extension: bool,
+) -> np.ndarray:
+    """Effective ``Corr_i`` as one (frame x universe cell) array.
 
-    Result: ``corr'[(g, i)] = max over h within radius of corr[(h, i)]``.
-    Only nodes that carry correlation are expanded, so this is cheap even
-    on large netlists.
+    Built on the cells it serves: the universe plus, with a placement,
+    every cell whose strike footprint at ``radius_um`` holds a universe
+    cell.  Three layers, each a no-op where its condition does not hold:
+
+    * the raw correlations (missing entries read 0);
+    * the persistence extension: a node whose error lifetime spans the
+      whole horizon holds its fault indefinitely (a memory-type
+      element), so injecting at *any* timing distance ``t >= 1`` is
+      equivalent, and its best positive correlation over all frames
+      applies at every support frame ``>= 1`` it belongs to
+      (Observation 3 applied to the correlation field);
+    * the spatial smear: a universe cell takes the maximum of its own
+      value and the positive values of every cell whose footprint holds
+      it (:meth:`~repro.netlist.placement.Placement.reached_from`).  A
+      NaN entry stays NaN, for the table checks to reject.
     """
-    smeared: Dict[Tuple[int, int], float] = dict(correlations)
-    neighbour_cache: Dict[int, list] = {}
-    for (nid, frame), value in correlations.items():
-        if value <= 0.0:
+    reach: Dict[int, np.ndarray] = {}
+    if placement is not None:
+        reach = {nid: placement.reached_from(nid, radius_um) for nid in universe}
+    cells = sorted(set(universe).union(*(near.tolist() for near in reach.values())))
+    column = {nid: j for j, nid in enumerate(cells)}
+    row = {t: i for i, t in enumerate(frames)}
+
+    field = np.zeros((len(frames), len(cells)))
+    memory = set()
+    if persistence_extension:
+        config = characterization.config
+        threshold = config.memory_lifetime_frac * config.lifetime_horizon
+        memory = {nid for nid in cells if characterization.L(nid) >= threshold}
+    best: Dict[int, float] = {}
+    for (nid, frame), value in characterization.signatures.correlations.items():
+        j = column.get(nid)
+        if j is None:
             continue
-        if nid not in neighbour_cache:
-            neighbour_cache[nid] = placement.within_radius(nid, radius_um)
-        for other in neighbour_cache[nid]:
-            key = (other, frame)
-            if smeared.get(key, 0.0) < value:
-                smeared[key] = value
-    return smeared
+        i = row.get(frame)
+        if i is not None:
+            field[i, j] = value
+        if nid in memory and value > best.get(nid, 0.0):
+            best[nid] = value
+    cone_rows = [
+        (i, characterization.omega_nodes(frame))
+        for frame, i in row.items()
+        if frame >= 1
+    ]
+    for nid, value in best.items():
+        j = column[nid]
+        for i, cone in cone_rows:
+            if nid in cone and field[i, j] < value:
+                field[i, j] = value
+
+    own = field[:, [column[nid] for nid in universe]]
+    if not reach:
+        return own
+    # One group of columns per universe cell, maxed in one reduceat over
+    # the positive entries.
+    ids = np.asarray(cells, dtype=np.int64)
+    groups = [np.searchsorted(ids, reach[nid]) for nid in universe]
+    starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+    positive = np.where(field > 0.0, field, -np.inf)
+    spread = np.maximum.reduceat(
+        positive[:, np.concatenate(groups)], starts, axis=1
+    )
+    return np.maximum(own, spread)
 
 
 @dataclass(frozen=True)
@@ -103,10 +121,15 @@ class _FrameTable:
     terms: np.ndarray       # unnormalized per-node mass
     probs: np.ndarray       # terms / omega
     omega: float
+    cdf: List[float]        # inverse CDF of probs, for draw_index
 
 
 class ImportanceSampler(Sampler):
-    """Pre-characterization-driven importance sampling."""
+    """Pre-characterization-driven importance sampling.
+
+    ``g_T`` and every ``g_{P|T}`` are fixed per campaign, so the
+    constructor builds their tables once and keeps only those.
+    """
 
     def __init__(
         self,
@@ -130,39 +153,39 @@ class ImportanceSampler(Sampler):
         self.alpha = alpha
         self.beta = beta
         self.hard_lifetime_gate = hard_lifetime_gate
-        self._corr = characterization.signatures.correlations
-        if persistence_extension:
-            self._corr = _extend_persistent(
-                self._corr,
-                characterization,
-                frames=list(spec.temporal.support()),
-            )
-        if placement is not None:
-            if smear_radius_um is None:
-                # The direct-upset reach of a typical spot, not the full
-                # radius: mass should follow cells the strike can flip.
-                smear_radius_um = 0.5 * float(np.mean(spec.radius.radii_um))
-            self._corr = _smear_correlations(
-                self._corr, placement, smear_radius_um
-            )
-        universe = set(spec.spatial.universe)
+        if placement is not None and smear_radius_um is None:
+            # The direct-upset reach of a typical spot, not the full
+            # radius: mass should follow cells the strike can flip.
+            smear_radius_um = 0.5 * float(np.mean(spec.radius.radii_um))
+        universe = spec.spatial.universe
+        frames = list(spec.temporal.support())
+        corr = _correlation_table(
+            characterization,
+            universe,
+            frames,
+            placement,
+            smear_radius_um,
+            persistence_extension,
+        )
+        ids = np.asarray(universe, dtype=np.int64)
+        lifetimes = np.array(
+            [characterization.L(nid) for nid in universe], dtype=float
+        )
 
         self._frames: List[int] = []
         self._tables: Dict[int, _FrameTable] = {}
         omegas: List[float] = []
-        for t in spec.temporal.support():
-            nodes = sorted(characterization.omega_nodes(t) & universe)
+        for i, t in enumerate(frames):
+            cone = characterization.omega_nodes(t)
+            cols = np.flatnonzero([nid in cone for nid in universe])
             if hard_lifetime_gate and t > 0:
-                nodes = [
-                    nid
-                    for nid in nodes
-                    if characterization.L(nid) >= self.beta * t
-                ]
-            if not nodes:
+                cols = cols[lifetimes[cols] >= self.beta * t]
+            if not cols.size:
                 continue
-            terms = np.array(
-                [self._term(nid, t) for nid in nodes], dtype=float
-            )
+            # ``1 + α · Corr_i(g) · δ(L(g) >= β·i)``
+            lifetime_ok = lifetimes[cols] >= self.beta * t
+            terms = np.ones(cols.size)
+            terms[lifetime_ok] += self.alpha * corr[i, cols[lifetime_ok]]
             omega = float(terms.sum())
             if omega <= 0.0:
                 continue
@@ -172,13 +195,14 @@ class ImportanceSampler(Sampler):
             # defensive importance sampling; keeps the estimator's tails in
             # check without biasing it).
             eps = self.defensive_epsilon
-            probs = (1.0 - eps) * (terms / omega) + eps / len(nodes)
+            probs = (1.0 - eps) * (terms / omega) + eps / cols.size
             self._frames.append(t)
             self._tables[t] = _FrameTable(
-                nodes=np.asarray(nodes, dtype=np.int64),
+                nodes=ids[cols],
                 terms=terms,
                 probs=probs,
                 omega=omega,
+                cdf=inverse_cdf(probs, f"g_P|T at t={t}"),
             )
             omegas.append(omega)
         if not self._frames:
@@ -189,14 +213,9 @@ class ImportanceSampler(Sampler):
             [self._tables[t].omega / self._omega_total for t in self._frames]
         )
         self._frame_probs = (1.0 - eps) * raw + eps / len(self._frames)
+        self._frame_cdf = inverse_cdf(self._frame_probs, "g_T")
 
     # ------------------------------------------------------------------
-    def _term(self, nid: int, frame: int) -> float:
-        """``1 + α · Corr_i(g) · δ(L(g) >= β·i)``."""
-        lifetime_ok = self.characterization.L(nid) >= self.beta * frame
-        corr = self._corr.get((nid, frame), 0.0)
-        return 1.0 + (self.alpha * corr if lifetime_ok else 0.0)
-
     def g_T(self, t: int) -> float:  # noqa: N802 - paper notation
         """The marginal sampling pmf over timing distances (Fig. 8(a))."""
         if t not in self._tables:
@@ -216,10 +235,10 @@ class ImportanceSampler(Sampler):
 
     # ------------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> AttackSample:
-        idx = int(rng.choice(len(self._frames), p=self._frame_probs))
+        idx = draw_index(self._frame_cdf, rng)
         t = self._frames[idx]
         table = self._tables[t]
-        node_idx = int(rng.choice(len(table.nodes), p=table.probs))
+        node_idx = draw_index(table.cdf, rng)
         centre = int(table.nodes[node_idx])
         radius = self.spec.radius.sample(rng)
 

@@ -23,7 +23,7 @@ from repro.attack.spec import AttackSample, AttackSpec
 from repro.errors import SamplingError
 from repro.netlist.scoap import compute_scoap
 from repro.precharac.characterization import SystemCharacterization
-from repro.sampling.base import Sampler
+from repro.sampling.base import Sampler, draw_index, inverse_cdf
 
 
 class ScoapConeSampler(Sampler):
@@ -46,6 +46,7 @@ class ScoapConeSampler(Sampler):
         self._frames: List[int] = []
         self._nodes: Dict[int, np.ndarray] = {}
         self._probs: Dict[int, np.ndarray] = {}
+        self._cdf: Dict[int, List[float]] = {}
         frame_mass: List[float] = []
         for t in spec.temporal.support():
             nodes = sorted(characterization.omega_nodes(t) & universe)
@@ -63,11 +64,13 @@ class ScoapConeSampler(Sampler):
             self._frames.append(t)
             self._nodes[t] = np.asarray(nodes, dtype=np.int64)
             self._probs[t] = weights / total
+            self._cdf[t] = inverse_cdf(self._probs[t], f"SCOAP g_P|T at t={t}")
             frame_mass.append(total)
         if not self._frames:
             raise SamplingError("SCOAP sampler has empty support")
         mass = np.asarray(frame_mass)
         self._frame_probs = mass / mass.sum()
+        self._frame_cdf = inverse_cdf(self._frame_probs, "SCOAP g_T")
 
     def g_T(self, t: int) -> float:  # noqa: N802 - paper notation
         if t not in self._nodes:
@@ -75,9 +78,9 @@ class ScoapConeSampler(Sampler):
         return float(self._frame_probs[self._frames.index(t)])
 
     def sample(self, rng: np.random.Generator) -> AttackSample:
-        idx = int(rng.choice(len(self._frames), p=self._frame_probs))
+        idx = draw_index(self._frame_cdf, rng)
         t = self._frames[idx]
-        node_idx = int(rng.choice(len(self._nodes[t]), p=self._probs[t]))
+        node_idx = draw_index(self._cdf[t], rng)
         centre = int(self._nodes[t][node_idx])
         radius = self.spec.radius.sample(rng)
         g_density = float(self._frame_probs[idx]) * float(

@@ -10,7 +10,9 @@ from repro.attack.techniques import (
 )
 from repro.errors import AttackModelError
 from repro.gatesim.timing import TimingModel
-from repro.netlist.cells import GateKind
+from repro.netlist.cells import CELL_LIBRARY, GateKind
+from repro.netlist.graph import Netlist
+from repro.netlist.placement import GridPlacer
 
 
 @pytest.fixture()
@@ -61,6 +63,28 @@ class TestRadiation:
         assert b.gate_pulses == {}
         assert b.struck_dffs  # flops near the decision register exist
 
+    def test_cell_on_the_rim_gets_no_pulse(self, rng):
+        """Width falls to exactly 0 at the rim; a zero-width pulse is none."""
+        # A 3x3 grid at 2 um pitch: gates 1, 3, 5 and 7 sit exactly 2 um
+        # from gate 4, the diagonal cells further out.
+        placement = GridPlacer(pitch_um=2.0).place(inverter_chain(8))
+        assert sorted(placement.within_radius(4, 2.0)) == [1, 3, 4, 5, 7]
+        tech = RadiationTechnique(timing=TimingModel())
+        inj = tech.build_injection(placement, 4, 2.0, rng)
+        assert inj.gate_pulses == {4: tech.peak_width_ps}
+
+    def test_upset_reach_is_inclusive(self, rng):
+        """A flop exactly at ``dff_upset_fraction * radius`` is upset."""
+        netlist = Netlist("flop")
+        g1 = netlist.add_gate(GateKind.NOT, netlist.add_input("a"))
+        q = netlist.add_dff(g1, name="q[0]", register="q", bit=0)
+        g2 = netlist.add_gate(GateKind.NOT, g1)
+        netlist.mark_output("y", g2)
+        placement = GridPlacer(pitch_um=2.0).place(netlist)
+        assert placement.distance(g2, q) == 2.0
+        tech = RadiationTechnique(timing=TimingModel(), dff_upset_fraction=0.5)
+        assert tech.build_injection(placement, g2, 4.0, rng).struck_dffs == [q]
+
     def test_strike_time_within_cycle(self, mpu_placement, rng):
         timing = TimingModel()
         tech = RadiationTechnique(timing=timing)
@@ -88,9 +112,7 @@ class TestGlitchTechniques:
         inj = tech.build_injection(mpu_placement, centre, 40.0, rng)
         # every struck gate settles inside the stolen window
         threshold = TimingModel().clock_period_ps - 300.0
-        from repro.attack.techniques import _arrival_times
-
-        arrival = _arrival_times(mpu_placement)
+        arrival = mpu_placement.netlist.arrival_times()
         for nid in inj.gate_pulses:
             assert arrival[nid] >= threshold
 
@@ -102,9 +124,35 @@ class TestGlitchTechniques:
     def test_voltage_glitch_produces_pulses(self, mpu_placement, rng):
         tech = VoltageGlitchTechnique(timing=TimingModel(), slowdown=2.0)
         # centre near the deep logic: use the slowest node
-        from repro.attack.techniques import _arrival_times
-
-        arrival = _arrival_times(mpu_placement)
+        arrival = mpu_placement.netlist.arrival_times()
         centre = int(np.argmax(arrival))
         inj = tech.build_injection(mpu_placement, centre, 10.0, rng)
         assert inj.gate_pulses
+
+
+def inverter_chain(n_gates):
+    """input -> NOT x n_gates -> output; gate ``k`` settles at ``k`` delays."""
+    netlist = Netlist(f"chain{n_gates}")
+    nid = netlist.add_input("a")
+    for _ in range(n_gates):
+        nid = netlist.add_gate(GateKind.NOT, nid)
+    netlist.mark_output("y", nid)
+    return netlist
+
+
+class TestArrivalTimesFollowTheNetlist:
+    def test_alternating_netlists_get_their_own_settle_times(self):
+        """Settle times live with their netlist: a netlist built after
+        another was freed must not see the freed one's times (a cache
+        keyed on ``id()`` hands them over when the address is reused)."""
+        delay = CELL_LIBRARY[GateKind.NOT].delay_ps
+        timing = TimingModel(clock_period_ps=20 * delay)
+        tech = ClockGlitchTechnique(timing=timing, glitch_depth_ps=10.5 * delay)
+        rng = np.random.default_rng(0)
+        for i in range(200):
+            n_gates = 3 if i % 2 else 40
+            placement = GridPlacer(pitch_um=1.0).place(inverter_chain(n_gates))
+            inj = tech.build_injection(placement, n_gates, 100.0, rng)
+            # Gate k (node id k) settles at k * delay >= 9.5 delays.
+            assert sorted(inj.gate_pulses) == list(range(10, n_gates + 1))
+            del placement, inj

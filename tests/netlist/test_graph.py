@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist.cells import GateKind
+from repro.netlist.cells import CELL_LIBRARY, GateKind
 from repro.netlist.graph import Netlist
 
 
@@ -115,6 +115,15 @@ class TestTopology:
         assert levels[a] == 0
         assert levels[g1] == 1
         assert levels[g2] == 2
+
+    def test_arrival_times_follow_edits(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        g1 = nl.add_gate(GateKind.NOT, a)
+        delay = CELL_LIBRARY[GateKind.NOT].delay_ps
+        assert nl.arrival_times() == [0.0, delay]
+        g2 = nl.add_gate(GateKind.NOT, g1)
+        assert nl.arrival_times()[g2] == 2 * delay
 
     def test_fanouts_inverse_of_fanins(self):
         nl = make_counter_bit()

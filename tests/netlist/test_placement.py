@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import NetlistError
 from repro.netlist.placement import GridPlacer
 from repro.soc.mpu import build_mpu_netlist
+
+from tests.strategies import placed_netlists
 
 
 class TestGridPlacer:
@@ -67,3 +71,19 @@ class TestRadiusQueries:
             mpu_placement.distance(bits[i], bits[i + 1]) for i in range(15)
         ]
         assert np.median(dists) <= 3 * mpu_placement.pitch_um
+
+
+class TestReachedFrom:
+    @given(
+        placed=placed_netlists(),
+        radius=st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0, 4.5)),
+    )
+    def test_inverse_of_within_radius(self, placed, radius):
+        """``reached_from`` is ``within_radius`` transposed, exactly."""
+        netlist, placement = placed
+        hits = {
+            h: set(placement.within_radius(h, radius)) for h in range(len(netlist))
+        }
+        for nid in range(len(netlist)):
+            expected = sorted(h for h, hit in hits.items() if nid in hit)
+            assert placement.reached_from(nid, radius).tolist() == expected

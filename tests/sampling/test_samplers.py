@@ -5,6 +5,8 @@ the cones, the weighted estimate must match the nominal probability.  We
 check it with an artificial success oracle so no simulation noise enters.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,33 @@ class TestHardLifetimeGate:
                 continue
             for nid in gated._tables[t].nodes:
                 assert ch.L(int(nid)) >= t
+
+
+class TestProbabilityChecks:
+    """A hand-edited characterization cache is outside input: tables that
+    ``Generator.choice`` would refuse fail at construction."""
+
+    def characterization_with(self, small_context, spec, value):
+        """The write context's characterization with ``value`` as the
+        correlation of one lifetime-qualified frame-0 support cell."""
+        ch = small_context.characterization
+        frame0 = sorted(ch.omega_nodes(0) & set(spec.spatial.universe))
+        assert len(frame0) > 50
+        correlations = dict(ch.signatures.correlations)
+        correlations[(frame0[0], 0)] = value
+        signatures = dataclasses.replace(
+            ch.signatures, correlations=correlations
+        )
+        return dataclasses.replace(ch, signatures=signatures)
+
+    def test_nan_correlation_rejected_at_construction(self, small_context, spec):
+        edited = self.characterization_with(small_context, spec, float("nan"))
+        with pytest.raises(SamplingError, match="finite"):
+            ImportanceSampler(spec, edited, placement=small_context.placement)
+
+    def test_negative_term_rejected_at_construction(self, small_context, spec):
+        # 1 + 50 * (-0.5) = -24: one negative mass in a frame whose total
+        # stays positive, so its probability is negative.
+        edited = self.characterization_with(small_context, spec, -0.5)
+        with pytest.raises(SamplingError, match="non-negative"):
+            ImportanceSampler(spec, edited)

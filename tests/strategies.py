@@ -12,11 +12,25 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.attack.spec import AttackSample
+from repro.attack.distributions import (
+    RadiusDistribution,
+    SpatialDistribution,
+    TemporalDistribution,
+)
+from repro.attack.spec import AttackSample, AttackSpec
+from repro.attack.techniques import RadiationTechnique
 from repro.campaign.spec import CampaignSpec, StoppingConfig
 from repro.core.results import OutcomeCategory, SampleRecord
+from repro.gatesim.timing import TimingModel
 from repro.netlist.cells import GateKind
+from repro.netlist.cones import UnrolledCones
 from repro.netlist.graph import Netlist
+from repro.netlist.placement import GridPlacer
+from repro.precharac.characterization import (
+    CharacterizationConfig,
+    SystemCharacterization,
+)
+from repro.precharac.signatures import SignatureAnalysis
 
 COMB_KINDS = [
     GateKind.AND,
@@ -145,6 +159,96 @@ def with_masked_dff(nl: Netlist, register: str, mask_name: str = "mask") -> Netl
         clone.mark_output(name, nid)
     clone.validate()
     return clone
+
+
+@st.composite
+def placed_netlists(draw):
+    """A random netlist with a grid placement (pitch, jitter and seed
+    drawn too)."""
+    nl = draw(random_netlists())
+    placer = GridPlacer(
+        pitch_um=draw(st.sampled_from((1.0, 2.0))),
+        jitter=draw(st.sampled_from((0.0, 0.25, 0.45))),
+        seed=draw(st.integers(0, 9)),
+    )
+    return nl, placer.place(nl)
+
+
+@st.composite
+def importance_problems(draw):
+    """What ``ImportanceSampler`` reads, drawn at random.
+
+    Returns ``(spec, characterization, placement)``: a placed random
+    netlist, cone frames, correlations in ``[0, 1]`` (zeros included),
+    lifetimes on both sides of the memory-type threshold, and a radiation
+    spec whose universe may hold inputs and constants and whose temporal
+    window may reach fanout-side (negative) frames.
+    """
+    nl, placement = draw(placed_netlists())
+    n = len(nl)
+    nids = st.integers(0, n - 1)
+    max_frame = draw(st.integers(1, 4))
+    fanin = {
+        d: set(draw(st.lists(nids, min_size=1, max_size=n)))
+        for d in range(max_frame + 1)
+    }
+    fanout = {-1: set(draw(st.lists(nids, max_size=n)))}
+    cones = UnrolledCones(responding=n - 1, fanin=fanin, fanout=fanout)
+    values = st.one_of(
+        st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    correlations = draw(
+        st.dictionaries(
+            st.tuples(nids, st.integers(-1, max_frame)),
+            values,
+            min_size=n // 2,
+            max_size=3 * n,
+        )
+    )
+    config = CharacterizationConfig(
+        max_frame=max_frame, lifetime_horizon=10, memory_lifetime_frac=0.9
+    )
+    lifetime_values = st.sampled_from((0.0, 1.0, 2.5, 4.0, 9.0, 10.0))
+    lifetimes = dict(
+        enumerate(draw(st.lists(lifetime_values, min_size=n, max_size=n)))
+    )
+    characterization = SystemCharacterization(
+        netlist=nl,
+        responding=(n - 1,),
+        cones=cones,
+        signatures=SignatureAnalysis(
+            n_cycles=0, signatures={}, correlations=correlations
+        ),
+        lifetime=None,
+        node_lifetime=lifetimes,
+        memory_type=set(),
+        computation_type=set(),
+        config=config,
+    )
+    spec = AttackSpec(
+        technique=RadiationTechnique(timing=TimingModel()),
+        temporal=TemporalDistribution(
+            window=draw(st.integers(1, max_frame + 2)),
+            centre=draw(st.one_of(st.none(), st.integers(0, max_frame))),
+        ),
+        spatial=SpatialDistribution(
+            draw(st.lists(nids, min_size=1, max_size=n, unique=True))
+        ),
+        radius=RadiusDistribution(
+            tuple(
+                draw(
+                    st.lists(
+                        st.sampled_from((0.5, 1.0, 2.0, 3.0, 4.5)),
+                        min_size=1,
+                        max_size=3,
+                        unique=True,
+                    )
+                )
+            )
+        ),
+    )
+    return spec, characterization, placement
 
 
 @st.composite
