@@ -44,7 +44,6 @@ from repro.campaign.store import (
 from repro.core.results import CampaignResult, SampleRecord
 from repro.errors import EvaluationError
 from repro.obs.engine_metrics import metrics_from_records
-from repro.obs.logging import warn_once
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sampling.estimator import SsfEstimator
@@ -108,11 +107,10 @@ class CampaignRunner:
             getattr(self._engine, "tracer", None) is NULL_TRACER
         ):
             # Give the engine our span buffer: in-process (sequential)
-            # chunks then contribute per-sample stage spans.  Fork
+            # chunks then contribute one span per engine stage lap.  Fork
             # workers inherit a copy whose spans never travel back —
             # their stage *timings* still do, via the metrics snapshot.
             self._engine.tracer = self.tracer
-        self._warn_on_stopping_overlap()
         self.hooks.bind(self.metrics, self.tracer)
         hooks = self._hook_chain
 
@@ -283,19 +281,6 @@ class CampaignRunner:
         self.store.write_metrics(self.metrics)
         if self.tracer.enabled:
             self.store.write_trace(self.tracer)
-
-    def _warn_on_stopping_overlap(self) -> None:
-        config = getattr(self._engine, "config", None)
-        if getattr(config, "stop_on_convergence", False):
-            warn_once(
-                "engine-stop-under-campaign",
-                "EngineConfig.stop_on_convergence is active under campaign "
-                "orchestration: the campaign stopping rule (which sees the "
-                "merged cross-chunk estimator) takes precedence, while the "
-                "engine-level rule can truncate individual chunks and break "
-                "worker-count determinism. Disable stop_on_convergence and "
-                "use StoppingConfig(mode='risk'|'ci') instead.",
-            )
 
     # ------------------------------------------------------------------
     # checkpoints

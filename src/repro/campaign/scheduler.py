@@ -1,9 +1,8 @@
 """Dynamic shard scheduler: work-stealing chunks over worker processes.
 
-The old ``parallel_evaluate`` split a campaign into one static slice per
-worker, so the slowest worker gated the wall time and nothing could stop
-early.  Here the campaign is cut into small *chunks* that idle workers
-pull from a shared queue:
+A static split of a campaign into one slice per worker lets the slowest
+worker gate the wall time and cannot stop early.  Here the campaign is cut
+into small *chunks* that idle workers pull from a shared queue:
 
 * stragglers no longer matter — a worker that drew expensive samples just
   pulls fewer chunks;

@@ -27,6 +27,13 @@ ENGINES = ("exact", "surrogate")
 #: Fidelity modes: single-engine, or surrogate screen + exact confirm.
 FIDELITIES = ("single", "two_stage")
 
+#: Retired spec fields that :meth:`CampaignSpec.from_dict` still accepts
+#: and drops, so run directories, job stores and sweep documents written
+#: before their removal keep loading.  ``batch`` selected the batched or
+#: the scalar engine loop, which gave bit-identical records; one loop is
+#: left.
+LEGACY_FIELDS = ("batch",)
+
 
 @dataclass(frozen=True)
 class StoppingConfig:
@@ -87,7 +94,6 @@ class CampaignSpec:
     charac_cache: Optional[str] = None  # pre-characterization JSON to reuse
     calibration: Optional[str] = None   # surrogate calibration artifact to reuse
     trace: bool = False               # record spans → runs/<id>/trace.json
-    batch: bool = True                # batched sampling kernel (--no-batch off)
     telemetry: bool = True            # fleet workers ship spans/metrics/logs
     baseline_store: Optional[str] = None  # ArtifactStore root for cycle baselines
     stopping: StoppingConfig = field(default_factory=StoppingConfig)
@@ -129,6 +135,8 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
         data = dict(data)
+        for key in LEGACY_FIELDS:
+            data.pop(key, None)
         stopping = data.pop("stopping", {})
         return cls(stopping=StoppingConfig.from_dict(stopping), **data)
 
@@ -165,7 +173,7 @@ class CampaignSpec:
         for tooling that only inspects run metadata.
         """
         from repro import default_attack_spec
-        from repro.core.context import build_context
+        from repro.core.context import build_cached_context
         from repro.core.engine import CrossLevelEngine, EngineConfig
         from repro.sampling import (
             FaninConeSampler,
@@ -186,24 +194,11 @@ class CampaignSpec:
         }
         if self.benchmark not in benchmarks:
             raise EvaluationError(f"unknown benchmark {self.benchmark!r}")
-        variant = MpuVariant.parse(self.variant)
-
-        context = None
-        if self.charac_cache and pathlib.Path(self.charac_cache).exists():
-            from repro.precharac.persistence import load_characterization
-
-            context = build_context(
-                benchmarks[self.benchmark](),
-                characterize=False,
-                mpu_variant=variant,
-            )
-            context.characterization = load_characterization(
-                self.charac_cache, context.netlist
-            )
-        if context is None:
-            context = build_context(
-                benchmarks[self.benchmark](), mpu_variant=variant
-            )
+        context = build_cached_context(
+            benchmarks[self.benchmark](),
+            mpu_variant=MpuVariant.parse(self.variant),
+            charac_cache=self.charac_cache,
+        )
 
         attack = default_attack_spec(
             context,
@@ -215,7 +210,7 @@ class CampaignSpec:
         engine = CrossLevelEngine(
             context,
             attack,
-            config=EngineConfig(batch=self.batch, engine=self.engine),
+            config=EngineConfig(engine=self.engine),
             baseline_store=self._build_baseline_store(context),
         )
         engine.warm_baseline_cache()

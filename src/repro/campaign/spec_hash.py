@@ -20,14 +20,15 @@ Canonicalization rules (pinned by golden-hash tests):
   benchmark + variant, the path only skips recomputation),
   ``calibration`` (likewise: the surrogate model is refitted
   deterministically from the spec seed when the artifact path is
-  absent, so the path only skips the fit), ``batch`` (the batched
-  kernel is bit-identical to the scalar path, so batched and scalar
-  runs of one spec share a cache entry), ``telemetry`` (fleet
+  absent, so the path only skips the fit), ``telemetry`` (fleet
   workers' shipped spans/metrics/logs are forced non-deterministic on
   ingest and can never reach the estimator or the deterministic metric
   view), and ``baseline_store`` (a loaded cycle baseline is
   bit-identical to a recomputed one — the store only skips golden
   re-simulation, and stale entries are rejected by fingerprint);
+* the retired ``batch`` field was excluded too, and
+  :meth:`~repro.campaign.spec.CampaignSpec.from_dict` drops it on load,
+  so a spec that still carries it hashes as it always did;
 * everything else — including ``seed`` and ``chunk_size``, both of which
   select the per-chunk seed streams and therefore the exact sample
   sequence, and ``engine``/``fidelity``, which swap the evaluation
@@ -55,7 +56,6 @@ NON_SEMANTIC_FIELDS = (
     "trace",
     "charac_cache",
     "calibration",
-    "batch",
     "telemetry",
     "baseline_store",
 )

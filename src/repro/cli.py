@@ -55,72 +55,18 @@ def _parse_variant(text: str) -> MpuVariant:
 
 
 def _build_context(args):
-    from repro.core.context import build_context
-    from repro.precharac.persistence import load_characterization
+    from repro.core.context import build_cached_context
 
-    variant = _parse_variant(getattr(args, "variant", "none"))
-    cache = getattr(args, "charac_cache", None)
-    if cache:
-        import pathlib
-
-        if pathlib.Path(cache).exists():
-            context = build_context(
-                BENCHMARKS[args.benchmark](),
-                characterize=False,
-                mpu_variant=variant,
-            )
-            context.characterization = load_characterization(
-                cache, context.netlist
-            )
-            return context
-    return build_context(BENCHMARKS[args.benchmark](), mpu_variant=variant)
+    return build_cached_context(
+        BENCHMARKS[args.benchmark](),
+        mpu_variant=_parse_variant(getattr(args, "variant", "none")),
+        charac_cache=getattr(args, "charac_cache", None),
+    )
 
 
 def _normalize_fidelity(text: str) -> str:
     """Accept the CLI spelling ``two-stage`` for the spec's ``two_stage``."""
     return text.replace("-", "_")
-
-
-def _check_engine_args(args) -> str:
-    """Validate ``--engine/--fidelity`` before any expensive build.
-
-    ``--engine`` is deliberately *not* an argparse choice: the variant
-    list lives in :data:`repro.core.engine.ENGINE_VARIANTS`, and an
-    unknown name raises :class:`~repro.errors.EvaluationError` here —
-    surfaced by ``main`` as one clean ``error:`` line, exit 2.
-    """
-    from repro.core.engine import ENGINE_VARIANTS
-    from repro.errors import EvaluationError
-
-    name = getattr(args, "engine", "exact")
-    if name not in ENGINE_VARIANTS:
-        raise EvaluationError(
-            f"unknown engine variant {name!r}: valid variants "
-            f"are {', '.join(ENGINE_VARIANTS)}"
-        )
-    fidelity = _normalize_fidelity(getattr(args, "fidelity", "single"))
-    if name != "surrogate" and fidelity != "single":
-        raise EvaluationError(
-            "fidelity 'two_stage' uses the surrogate as the "
-            "screening stage; pass --engine surrogate"
-        )
-    return name
-
-
-def _surrogate_from_args(engine, sampler, args):
-    """Apply ``--engine/--fidelity/--calibration`` to a built engine."""
-    if _check_engine_args(args) != "surrogate":
-        return engine
-    from repro.surrogate import build_surrogate_engine
-
-    print("Preparing surrogate model...", file=sys.stderr)
-    return build_surrogate_engine(
-        engine,
-        sampler,
-        fidelity=_normalize_fidelity(getattr(args, "fidelity", "single")),
-        calibration=getattr(args, "calibration", None),
-        seed=args.seed,
-    )
 
 
 def _make_sampler(name: str, spec, context):
@@ -162,49 +108,32 @@ def cmd_info(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from repro import default_attack_spec
-    from repro.core.engine import CrossLevelEngine, EngineConfig
+    import math
 
-    _check_engine_args(args)
+    import numpy as np
+
+    from repro.campaign import CampaignRunner, StoppingConfig
+
+    # One worker evaluates in-process; N workers run the campaign
+    # scheduler over ~4 chunks per worker, each chunk on its own spawned
+    # seed stream.
+    workers = max(1, args.workers)
+    spec = _campaign_spec_from_args(
+        args,
+        stopping=StoppingConfig(n_samples=args.samples),
+        chunk_size=max(1, math.ceil(args.samples / (4 * workers))),
+    )
+    surrogate = spec.engine == "surrogate"
     print("Building evaluation context...", file=sys.stderr)
-    context = _build_context(args)
-    spec = default_attack_spec(
-        context, window=args.window, subblock_fraction=args.subblock
-    )
-    if args.impact_cycles > 1:
-        spec.technique.impact_cycles = args.impact_cycles
-    baseline_store = None
-    if getattr(args, "baseline_store", None):
-        from repro.service.artifacts import ArtifactStore, baseline_store_for
-
-        baseline_store = baseline_store_for(
-            ArtifactStore(args.baseline_store),
-            benchmark=args.benchmark,
-            variant=args.variant,
-            netlist=context.netlist,
-        )
-    engine = CrossLevelEngine(
-        context,
-        spec,
-        config=EngineConfig(batch=not getattr(args, "no_batch", False)),
-        baseline_store=baseline_store,
-    )
-    engine.warm_baseline_cache()
-    sampler = _make_sampler(args.sampler, spec, context)
-    engine = _surrogate_from_args(engine, sampler, args)
-    surrogate = getattr(args, "engine", "exact") == "surrogate"
+    engine, sampler = spec.build_runtime()
+    context = engine.context
     print(f"Running {args.samples} samples ({args.sampler})...", file=sys.stderr)
-    if args.workers > 1 and not surrogate:
-        from repro.core.parallel import parallel_evaluate
-
-        result = parallel_evaluate(
-            engine, sampler, args.samples, seed=args.seed, n_workers=args.workers
-        )
+    if workers > 1 and not surrogate:
+        result = CampaignRunner(
+            spec, store=None, engine=engine, sampler=sampler,
+            n_workers=workers,
+        ).run()
     else:
-        # SeedSequence seeding: per-sample independent streams (the
-        # campaign seed policy), which also lets the batched kernel engage.
-        import numpy as np
-
         result = engine.evaluate(
             sampler, args.samples, seed=np.random.SeedSequence(args.seed)
         )
@@ -220,8 +149,7 @@ def cmd_evaluate(args) -> int:
         ["wall time", f"{result.wall_time_s:.1f} s"],
     ]
     if surrogate:
-        rows.insert(3, ["engine", f"{args.engine} "
-                        f"({_normalize_fidelity(args.fidelity)})"])
+        rows.insert(3, ["engine", f"{spec.engine} ({spec.fidelity})"])
         rows.append(["exact-engine samples", engine.exact_invocations])
     for category, count in result.category_counts().items():
         if count:
@@ -414,18 +342,19 @@ def _campaign_result_rows(spec, store, result) -> list:
     return rows
 
 
-def _campaign_spec_from_args(args):
+def _campaign_spec_from_args(args, stopping=None, chunk_size=None):
     from repro.campaign import CampaignSpec, StoppingConfig
 
-    stopping = StoppingConfig(
-        mode=args.stop,
-        n_samples=args.samples,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        ci_width=args.ci_width,
-        min_samples=args.min_samples,
-        max_samples=args.max_samples,
-    )
+    if stopping is None:
+        stopping = StoppingConfig(
+            mode=args.stop,
+            n_samples=args.samples,
+            epsilon=args.epsilon,
+            delta=args.delta,
+            ci_width=args.ci_width,
+            min_samples=args.min_samples,
+            max_samples=args.max_samples,
+        )
     return CampaignSpec(
         benchmark=args.benchmark,
         variant=_parse_variant(args.variant).name,
@@ -434,13 +363,12 @@ def _campaign_spec_from_args(args):
         subblock_fraction=args.subblock,
         impact_cycles=args.impact_cycles,
         seed=args.seed,
-        chunk_size=args.chunk_size,
+        chunk_size=args.chunk_size if chunk_size is None else chunk_size,
         engine=getattr(args, "engine", "exact"),
         fidelity=_normalize_fidelity(getattr(args, "fidelity", "single")),
         charac_cache=args.charac_cache,
         calibration=getattr(args, "calibration", None),
         trace=getattr(args, "trace", False),
-        batch=not getattr(args, "no_batch", False),
         baseline_store=getattr(args, "baseline_store", None),
         stopping=stopping,
     )
@@ -1268,9 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="consecutive cycles disturbed per injection")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (fork platforms)")
-    p.add_argument("--no-batch", action="store_true", dest="no_batch",
-                   help="disable the batched sampling kernel (use the "
-                   "scalar reference path)")
     p.add_argument("--baseline-store", default=None, metavar="DIR",
                    help="artifact-store root for persistent per-cycle "
                    "baselines (warm-starts repeat evaluations; never "
@@ -1361,9 +1286,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--trace", action="store_true",
                     help="record spans to runs/<run-id>/trace.json "
                     "(Chrome trace_event format)")
-    pr.add_argument("--no-batch", action="store_true", dest="no_batch",
-                    help="disable the batched sampling kernel (use the "
-                    "scalar reference path)")
     pr.add_argument("--baseline-store", default=None, metavar="DIR",
                     help="artifact-store root for persistent per-cycle "
                     "baselines (warm-starts repeat campaigns; excluded "
@@ -1566,9 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", type=int, default=200)
     p.add_argument("--max-samples", type=int, default=100_000)
     p.add_argument("--chunk-size", type=int, default=50)
-    p.add_argument("--no-batch", action="store_true", dest="no_batch",
-                   help="disable the batched sampling kernel (use the "
-                   "scalar reference path)")
     _add_engine_flags(p)
     p.add_argument("--priority", type=int, default=0,
                    help="higher-priority jobs run first")

@@ -246,16 +246,10 @@ def run_design(
     design: ConformanceDesign,
     config: Optional[DifferentialConfig] = None,
     context=None,
-    engine_config=None,
 ) -> DifferentialReport:
-    """Run the full differential check on one registry design.
-
-    ``engine_config`` (an optional :class:`~repro.core.engine.EngineConfig`)
-    selects the kernel under test — the batched default or the scalar
-    reference path — without changing anything else about the harness.
-    """
+    """Run the full differential check on one registry design."""
     config = config or DifferentialConfig()
-    built = design.build(context, config=engine_config)
+    built = design.build(context)
     exact = enumerate_single_bit_faults(
         built.engine,
         bits=list(built.bits),

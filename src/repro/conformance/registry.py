@@ -80,14 +80,12 @@ class ConformanceDesign:
             ),
         )
 
-    def build(self, context=None, config=None) -> BuiltDesign:
+    def build(self, context=None) -> BuiltDesign:
         """Instantiate the engine + pinpoint attack spec.
 
         ``context`` lets callers inject an already-built (compatible)
         context — the fast test tier reuses the session-scoped small
-        context instead of paying a fresh characterization.  ``config``
-        is an optional :class:`~repro.core.engine.EngineConfig`, letting
-        the differential harness gate on the batched vs scalar kernel.
+        context instead of paying a fresh characterization.
         """
         from repro.attack.distributions import (
             RadiusDistribution,
@@ -110,7 +108,7 @@ class ConformanceDesign:
             spatial=SpatialDistribution(sorted(bit_of_cell)),
             radius=RadiusDistribution((1.0,)),
         )
-        engine = CrossLevelEngine(context, spec, config=config, observe=False)
+        engine = CrossLevelEngine(context, spec, observe=False)
         return BuiltDesign(
             name=self.name,
             engine=engine,

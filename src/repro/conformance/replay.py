@@ -70,8 +70,7 @@ def locate_sample(
     """Map a global sample index to ``(chunk_index, offset, record)``.
 
     Walks the chunk log rather than the spec's chunk plan, so replay
-    works on interrupted runs and on chunks an engine-level stop
-    truncated — whatever is in the log is addressable.
+    works on interrupted runs — whatever is in the log is addressable.
     """
     if sample_index < 0:
         raise EvaluationError("sample index must be non-negative")

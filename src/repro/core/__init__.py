@@ -22,7 +22,6 @@ from repro.core.analytical import AnalyticalEvaluator
 from repro.core.results import CampaignResult, OutcomeCategory, SampleRecord
 from repro.core.hardening import HardeningStudy, attribute_ssf
 from repro.core.exhaustive import ExhaustiveResult, enumerate_single_bit_faults
-from repro.core.parallel import parallel_evaluate
 
 __all__ = [
     "EvaluationContext",
@@ -37,5 +36,4 @@ __all__ = [
     "attribute_ssf",
     "ExhaustiveResult",
     "enumerate_single_bit_faults",
-    "parallel_evaluate",
 ]

@@ -1,6 +1,7 @@
 """Evaluation context: everything wired together for one benchmark.
 
-:func:`build_context` performs the framework's setup stages once:
+:func:`build_context` performs the framework's setup stages once
+(:func:`build_cached_context` loads step 4 from a saved file instead):
 
 1. elaborate the MPU netlist and place it;
 2. golden-run the benchmark with checkpoints and the MPU port trace;
@@ -15,6 +16,7 @@ attack specs, hardening what-ifs).
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -178,3 +180,32 @@ def build_context(
         characterization=characterization,
         mpu_variant=mpu_variant,
     )
+
+
+def build_cached_context(
+    benchmark: BenchmarkProgram,
+    mpu_variant: MpuVariant = BASELINE_VARIANT,
+    charac_cache: Optional[str] = None,
+) -> EvaluationContext:
+    """:func:`build_context`, loading a saved pre-characterization.
+
+    ``charac_cache`` names a file written by ``repro characterize``; it
+    replaces the in-process characterization.  A path that does not exist
+    raises :class:`EvaluationError` naming it, before any build work: a
+    mistyped path must not turn into a silent re-characterization.
+    """
+    if not charac_cache:
+        return build_context(benchmark, mpu_variant=mpu_variant)
+    path = pathlib.Path(charac_cache)
+    if not path.exists():
+        raise EvaluationError(
+            f"pre-characterization cache {str(path)!r} does not exist "
+            f"(write it with `repro characterize --out {path}`)"
+        )
+    from repro.precharac.persistence import load_characterization
+
+    context = build_context(
+        benchmark, characterize=False, mpu_variant=mpu_variant
+    )
+    context.characterization = load_characterization(path, context.netlist)
+    return context

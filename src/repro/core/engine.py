@@ -15,15 +15,22 @@ Per sample:
 5. the success indicator compares the final state against the golden
    outcome (malicious operation committed *and* undetected).
 
+One kernel runs this flow: :meth:`CrossLevelEngine.run_batch`.  Samples
+sharing an injection cycle share that cycle's RTL restart and golden
+gate-level baseline; a sample whose flips latch continues on its own
+faulty trajectory.  ``evaluate`` draws every sample and injection up front
+and makes one ``run_batch`` call; ``run_sample`` is a batch of one.
+
 Observability: with ``observe=True`` (the default) each ``evaluate`` call
-records per-stage wall times, outcome counters, and the masking funnel
-into a fresh :class:`~repro.obs.metrics.MetricsRegistry`, snapshotted onto
-the returned :class:`CampaignResult` — the unit the campaign scheduler
-serializes per chunk and merges deterministically.  A recording
+records stage wall times (one lap per stage of the batch), outcome
+counters, and the masking funnel into a fresh
+:class:`~repro.obs.metrics.MetricsRegistry`, snapshotted onto the returned
+:class:`CampaignResult` — the unit the campaign scheduler serializes per
+chunk and merges deterministically.  A recording
 :class:`~repro.obs.tracing.Tracer` additionally captures one span per
-stage per sample.  With ``observe=False`` and the default
-:data:`~repro.obs.tracing.NULL_TRACER`, the per-sample flow runs
-uninstrumented (no clocks, no registry) — the baseline the
+stage lap.  With ``observe=False`` and the default
+:data:`~repro.obs.tracing.NULL_TRACER`, the flow runs uninstrumented (no
+clocks, no registry) — the baseline the
 ``benchmarks/test_obs_overhead.py`` guard compares against.
 """
 
@@ -45,13 +52,10 @@ from repro.gatesim.transient import TransientSimulator
 from repro.obs.engine_metrics import (
     observe_baseline_store,
     observe_batch,
-    observe_batch_fallback,
     observe_batch_timing,
     observe_batched_sample,
     observe_record,
-    observe_timing,
 )
-from repro.obs.logging import warn_once
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_CLOCK, NULL_TRACER, StageClock
 from repro.rtl.checkpoint import Checkpoint
@@ -77,33 +81,6 @@ class EngineConfig:
     engine: str = "exact"
     # Use the analytical evaluator when all faulty bits are memory-type.
     analytical_memory_eval: bool = True
-    # Stop early once the estimator converges (see SsfEstimator.converged).
-    #
-    # Precedence: this is an *engine-level* rule that only governs direct
-    # ``engine.evaluate`` calls.  Under campaign orchestration
-    # (repro.campaign), the campaign's stopping rule — which sees the
-    # merged cross-chunk estimator — takes precedence; an engine-level
-    # stop merely truncates the individual chunk it fires in, which
-    # changes the chunk plan's sample counts and breaks the
-    # worker-count-independence guarantee.  The campaign runner emits a
-    # one-time warning (via the repro.obs logger) when both are active;
-    # prefer ``StoppingConfig(mode="risk" | "ci")`` for campaigns.
-    stop_on_convergence: bool = False
-    convergence_rel_tol: float = 0.05
-    min_samples: int = 200
-    # Evaluate campaigns through the batched kernel (run_batch): samples
-    # sharing an injection cycle are packed into one gate-level call over
-    # a shared cycle baseline.  Engages for every seed kind (SeedSequence,
-    # int, Generator, None — per-sample streams or the legacy shared
-    # stream, consumed in the exact scalar order) and any impact_cycles
-    # (samples stay batched while the RTL trajectory is still golden and
-    # diverge to a scalar continuation on their first latched flip);
-    # bit-identical to the scalar path either way.  ``--no-batch`` /
-    # CampaignSpec(batch=False) is the escape hatch; an engine-level
-    # convergence stop also falls back to the scalar loop (early exit
-    # would waste the pre-drawn batch), surfaced via the
-    # engine_batch_fallback_total counter.
-    batch: bool = True
     # Max (injection cycle -> baseline/checkpoint) entries kept per engine.
     baseline_cache_size: int = 128
     # Max memoized classification outcomes (see _finish_diverged): the
@@ -172,112 +149,15 @@ class CrossLevelEngine:
     def run_sample(
         self, sample: AttackSample, rng: np.random.Generator, clock=NULL_CLOCK
     ) -> SampleRecord:
-        """Evaluate one attack sample.
+        """Evaluate one attack sample: a batch of one.
 
+        ``rng`` is consumed as :meth:`evaluate` consumes a sample's
+        stream after the draw (one injection per executed impact cycle),
+        so a logged sample replays from its seed lineage alone.
         ``clock`` marks stage boundaries (see
-        :data:`repro.obs.engine_metrics.STAGES`); the default null clock
-        keeps the uninstrumented path free of timing calls.
+        :data:`repro.obs.engine_metrics.STAGES`).
         """
-        context = self.context
-        injection_cycle = context.target_cycle - sample.t
-        # Negative t (injection after the target) can overrun the run end;
-        # either direction out of the simulated window is a guaranteed miss.
-        if injection_cycle < 0 or injection_cycle >= context.n_cycles:
-            return SampleRecord(
-                sample=sample,
-                e=0,
-                category=OutcomeCategory.OUT_OF_RANGE,
-                flipped_bits=frozenset(),
-                injection_cycle=injection_cycle,
-            )
-
-        # Steps 3+4: RTL to the injection cycle, then gate-level simulation
-        # of each impacted cycle, with latched errors written back into the
-        # RTL state as they occur (multi-cycle impact per Section 3.2).
-        simulator = context.simulator
-        soc = context.soc
-        simulator.restart_from(context.golden, injection_cycle)
-        clock.lap("restart")
-        impact_cycles = getattr(self.spec.technique, "impact_cycles", 1)
-
-        flipped: frozenset = frozenset()
-        n_injected = n_latched = 0
-        for _ in range(impact_cycles):
-            if simulator.cycle >= context.n_cycles:
-                break
-            soc.record_mpu_trace = True
-            soc.mpu_trace = []
-            simulator.step()
-            soc.record_mpu_trace = False
-            entry = soc.mpu_trace[-1]
-            clock.lap("rtl_step")
-
-            injection = self.spec.build_injection(context.placement, sample, rng)
-            result = self.transient_sim.simulate_cycle(
-                entry.inputs, entry.state, injection
-            )
-            n_injected += result.n_pulses_injected
-            n_latched += result.n_pulses_latched
-            clock.lap("transient")
-            if result.flipped_bits:
-                masks: Dict[str, int] = {}
-                for register, bit in result.flipped_bits:
-                    masks[register] = masks.get(register, 0) | (1 << bit)
-                simulator.inject_bit_errors(masks)
-                # A bit flipped twice is back to fault-free: symmetric diff.
-                flipped = flipped ^ frozenset(result.flipped_bits)
-                clock.lap("writeback")
-
-        if not flipped:
-            return SampleRecord(
-                sample=sample,
-                e=0,
-                category=OutcomeCategory.MASKED,
-                flipped_bits=flipped,
-                injection_cycle=injection_cycle,
-                n_pulses_injected=n_injected,
-                n_pulses_latched=n_latched,
-            )
-
-        memory_only = self._all_memory_type(flipped)
-        clock.lap("classify")
-        category = (
-            OutcomeCategory.MEMORY_ONLY if memory_only else OutcomeCategory.NEEDS_RTL
-        )
-
-        if (
-            memory_only
-            and impact_cycles == 1
-            and self.config.analytical_memory_eval
-            and self._analytical is not None
-        ):
-            e = self._analytical.evaluate(flipped, injection_cycle)
-            clock.lap("analytical")
-            return SampleRecord(
-                sample=sample,
-                e=e,
-                category=category,
-                flipped_bits=flipped,
-                injection_cycle=injection_cycle,
-                n_pulses_injected=n_injected,
-                n_pulses_latched=n_latched,
-                analytical=True,
-            )
-
-        # Step 5: the errors are already in the RTL state; resume to the end.
-        simulator.run_to(context.n_cycles)
-        clock.lap("rtl_resume")
-        e = 1 if context.benchmark.attack_succeeded(soc) else 0
-        clock.lap("compare")
-        return SampleRecord(
-            sample=sample,
-            e=e,
-            category=category,
-            flipped_bits=flipped,
-            injection_cycle=injection_cycle,
-            n_pulses_injected=n_injected,
-            n_pulses_latched=n_latched,
-        )
+        return self.run_batch([sample], rngs=[rng], clock=clock)[0]
 
     def _all_memory_type(self, flipped: FrozenSet[Tuple[str, int]]) -> bool:
         characterization = self.context.characterization
@@ -286,7 +166,7 @@ class CrossLevelEngine:
         return all(characterization.is_memory_type(reg, bit) for reg, bit in flipped)
 
     # ------------------------------------------------------------------
-    # batched flow
+    # the kernel
     # ------------------------------------------------------------------
     @property
     def baseline_cache_stats(self) -> Tuple[int, int]:
@@ -311,19 +191,18 @@ class CrossLevelEngine:
         techniques stay batched while every sample's RTL trajectory is
         still golden — each impact cycle of a group shares that cycle's
         baseline — and a sample whose first flips latch at step ``s``
-        diverges to a scalar continuation over its remaining cycles
+        diverges to a per-sample continuation over its remaining cycles
         (per-sample writeback makes the state diverge from there, so
         there is nothing left to share).
 
-        ``rngs`` must hold one generator per sample (each consumed
-        exactly as the scalar path would consume it: all of a sample's
-        per-cycle injections are drawn up front, which matches the scalar
-        interleaving because the simulation stages consume no RNG);
-        omitted, every sample gets a fresh independent stream.
-        Alternatively, ``injections`` supplies the pre-drawn per-cycle
-        injection list of every sample (empty for out-of-range samples)
-        and no RNG is touched.  Records are bit-identical to
-        ``run_sample`` on each sample.
+        ``rngs`` must hold one generator per sample; all of a sample's
+        per-cycle injections are drawn from it up front (see
+        :meth:`_draw_injections`).  Omitted, every sample gets a fresh
+        independent stream.  Alternatively, ``injections`` supplies the
+        pre-drawn per-cycle injection list of every sample (empty for
+        out-of-range samples) and no RNG is touched.  Records are
+        bit-identical to the per-sample flow run on each sample alone
+        (the test-only reference in ``tests/core/scalar_reference.py``).
         """
         context = self.context
         impact_cycles = getattr(self.spec.technique, "impact_cycles", 1)
@@ -347,10 +226,8 @@ class CrossLevelEngine:
             if len(rngs) != n:
                 raise EvaluationError("run_batch needs one rng per sample")
             injections = [
-                []
-                if records[i] is not None
-                else self._draw_injections(samples[i], cycles[i], rngs[i])
-                for i in range(n)
+                self._draw_injections(sample, rng)
+                for sample, rng in zip(samples, rngs)
             ]
         elif len(injections) != n:
             raise EvaluationError("run_batch needs one injection list per sample")
@@ -426,23 +303,24 @@ class CrossLevelEngine:
             self._report_store_traffic(registry)
         return records  # type: ignore[return-value]
 
-    def _draw_injections(
-        self, sample: AttackSample, injection_cycle: int, rng
-    ) -> List:
+    def _draw_injections(self, sample: AttackSample, rng) -> List:
         """Pre-draw one sample's per-impact-cycle injections, in order.
 
-        Consumes the sample's stream exactly as the scalar loop would:
-        ``run_sample`` interleaves (RTL step, build_injection, simulate)
-        per cycle, but only ``build_injection`` touches the RNG, so
-        drawing all of a sample's injections back-to-back is the same
-        stream consumption.
+        The per-sample flow interleaves (RTL step, build_injection,
+        simulate) per cycle, but only ``build_injection`` touches the
+        RNG, so drawing all of a sample's injections back to back is the
+        same stream consumption.  An out-of-range sample draws none.
         """
+        context = self.context
+        injection_cycle = context.target_cycle - sample.t
+        if injection_cycle < 0 or injection_cycle >= context.n_cycles:
+            return []
         n_exec = min(
             getattr(self.spec.technique, "impact_cycles", 1),
-            self.context.n_cycles - injection_cycle,
+            context.n_cycles - injection_cycle,
         )
         return [
-            self.spec.build_injection(self.context.placement, sample, rng)
+            self.spec.build_injection(context.placement, sample, rng)
             for _ in range(n_exec)
         ]
 
@@ -553,7 +431,7 @@ class CrossLevelEngine:
         impact_cycles: int,
         clock=NULL_CLOCK,
     ) -> SampleRecord:
-        """Scalar continuation of one batched sample after its first flips.
+        """Per-sample continuation of one batched sample after its first flips.
 
         ``remaining`` holds the sample's pre-drawn injections for impact
         cycles after the one that flipped.  With none left, the verdict
@@ -561,10 +439,10 @@ class CrossLevelEngine:
         resume starts from a canonical checkpoint and the analytical
         evaluator is deterministic — so it is memoized across the batch
         (and the engine's lifetime) in ``_outcome_cache``.  With cycles
-        left, the sample replays them exactly as ``run_sample`` would:
-        per-cycle RTL step, gate simulation, and writeback on a now
-        per-sample faulty trajectory (including flips cancelling back to
-        a masked outcome via the symmetric difference).
+        left, the sample runs them one by one: per-cycle RTL step, gate
+        simulation, and writeback on a now per-sample faulty trajectory
+        (including flips cancelling back to a masked outcome via the
+        symmetric difference).
         """
         context = self.context
         simulator = context.simulator
@@ -611,7 +489,7 @@ class CrossLevelEngine:
                 else OutcomeCategory.NEEDS_RTL
             )
             # impact_cycles > 1 here, so the analytical gate is closed
-            # (run_sample requires impact_cycles == 1); resume in place.
+            # (it requires impact_cycles == 1); resume in place.
             simulator.run_to(context.n_cycles)
             clock.lap("rtl_resume")
             e = 1 if context.benchmark.attack_succeeded(soc) else 0
@@ -647,7 +525,7 @@ class CrossLevelEngine:
                 clock.lap("analytical")
             else:
                 # Resume from the shared post-step snapshot: equivalent to
-                # the scalar restart+step (the snapshot is complete).
+                # a fresh restart+step (the snapshot is complete).
                 post_step.restore(soc)
                 simulator.cycle = post_step.cycle
                 self._write_back(flipped)
@@ -682,6 +560,9 @@ class CrossLevelEngine:
     ) -> CampaignResult:
         """Run a Monte Carlo campaign with the given strategy.
 
+        Draws every sample and its injections, then evaluates them in one
+        :meth:`run_batch` call.
+
         Seed policy: a ``SeedSequence`` seed (the campaign path — the
         scheduler passes each chunk's spawned child) derives one
         *independent* child stream per sample via
@@ -689,116 +570,22 @@ class CrossLevelEngine:
         injection of sample ``i`` never share RNG state with sample
         ``i±1`` and any sample is replayable in isolation.  An int /
         ``Generator`` / ``None`` seed keeps the legacy single shared
-        stream (stable for callers that pin integer seeds in tests).
+        stream, consumed in the per-sample order: sample ``i``'s draw,
+        then all of sample ``i``'s per-cycle injections, then sample
+        ``i+1``'s draw (stable for callers that pin integer seeds).
 
-        Both seed kinds run through the batched kernel (bit-identical to
-        the scalar loop either way); ``batch=False`` and engine-level
-        ``stop_on_convergence`` fall back to the scalar loop, counted in
-        ``engine_batch_fallback_total`` and warned about once.
+        The estimator consumes outcomes in sample order (Welford updates
+        are order-sensitive in float), calling ``progress(i, estimator)``
+        after each.
         """
         if n_samples <= 0:
             raise EvaluationError("n_samples must be positive")
-        reason = self._batch_fallback_reason()
-        if reason is None:
-            return self._evaluate_batched(sampler, n_samples, seed, progress)
-        self._warn_batch_fallback(reason, seed)
-        per_sample_base = seed if isinstance(seed, np.random.SeedSequence) else None
-        rng = None if per_sample_base is not None else as_generator(seed)
-        estimator = SsfEstimator(record_history=True)
-        records = []
-        tracer = self.tracer
-        registry = MetricsRegistry() if self.observe else None
-        if registry is not None:
-            observe_batch_fallback(registry, reason)
-        observing = registry is not None or tracer.enabled
-        start = time.perf_counter()
-        for i in range(n_samples):
-            if per_sample_base is not None:
-                rng = as_generator(sample_seed_sequence(per_sample_base, i))
-            if observing:
-                clock = StageClock()
-                sample = sampler.sample(rng)
-                clock.lap("draw")
-                record = self.run_sample(sample, rng, clock=clock)
-                if registry is not None:
-                    observe_record(registry, record)
-                    observe_timing(
-                        registry,
-                        record,
-                        clock.stage_totals(),
-                        clock.total_seconds(),
-                    )
-                if tracer.enabled:
-                    tracer.add_laps(clock.laps, sample=i)
-            else:
-                sample = sampler.sample(rng)
-                record = self.run_sample(sample, rng)
-            estimator.push(sample, record.e)
-            records.append(record)
-            if progress is not None:
-                progress(i, estimator)
-            if self.config.stop_on_convergence and estimator.converged(
-                self.config.convergence_rel_tol, self.config.min_samples
-            ):
-                break
-        wall = time.perf_counter() - start
-        return CampaignResult(
-            strategy=sampler.name,
-            records=records,
-            estimator=estimator,
-            wall_time_s=wall,
-            metrics=registry.snapshot() if registry is not None else None,
-        )
-
-    def _batch_fallback_reason(self) -> Optional[str]:
-        """Why ``evaluate`` must take the scalar loop, or None to batch."""
-        if not self.config.batch:
-            return "disabled"
-        if self.config.stop_on_convergence:
-            # The batched kernel pre-draws and evaluates the whole budget;
-            # an engine-level early stop would discard most of that work,
-            # so convergence-stopped calls keep the incremental loop.
-            return "stop_on_convergence"
-        return None
-
-    def _warn_batch_fallback(self, reason: str, seed: SeedLike) -> None:
-        seed_kind = type(seed).__name__ if seed is not None else "None"
-        impact_cycles = getattr(self.spec.technique, "impact_cycles", 1)
-        warn_once(
-            f"engine-batch-fallback-{reason}",
-            f"batched kernel disengaged ({reason}): evaluating through the "
-            f"scalar loop (seed kind={seed_kind}, "
-            f"impact_cycles={impact_cycles})",
-        )
-
-    def _evaluate_batched(
-        self,
-        sampler: Sampler,
-        n_samples: int,
-        seed: SeedLike,
-        progress: Optional[Callable[[int, SsfEstimator], None]],
-    ) -> CampaignResult:
-        """Batched campaign body: draw everything, dispatch run_batch.
-
-        Bit-identical to the scalar loop for every seed kind.  A
-        ``SeedSequence`` derives one independent stream per sample (any
-        consumption order is the scalar order).  An int / ``Generator`` /
-        ``None`` seed keeps the single shared stream, consumed in the
-        exact scalar interleaving: sample ``i``'s draw, then all of
-        sample ``i``'s per-cycle injections, then sample ``i+1``'s draw —
-        the simulation stages between them consume no RNG.  The estimator
-        consumes outcomes in original sample order (Welford updates are
-        order-sensitive in float).  An engine-level convergence stop
-        truncates the returned records at the same boundary the scalar
-        loop would — the already-computed tail is simply discarded.
-        """
         estimator = SsfEstimator(record_history=True)
         registry = MetricsRegistry() if self.observe else None
         tracer = self.tracer
         observing = registry is not None or tracer.enabled
         start = time.perf_counter()
         clock = StageClock() if observing else NULL_CLOCK
-        context = self.context
         if isinstance(seed, np.random.SeedSequence):
             rngs = [
                 as_generator(sample_seed_sequence(seed, i))
@@ -809,16 +596,10 @@ class CrossLevelEngine:
             rngs = [shared] * n_samples
         samples: List[AttackSample] = []
         injections: List[List] = []
-        for i in range(n_samples):
-            sample = sampler.sample(rngs[i])
+        for rng in rngs:
+            sample = sampler.sample(rng)
             samples.append(sample)
-            injection_cycle = context.target_cycle - sample.t
-            if injection_cycle < 0 or injection_cycle >= context.n_cycles:
-                injections.append([])
-            else:
-                injections.append(
-                    self._draw_injections(sample, injection_cycle, rngs[i])
-                )
+            injections.append(self._draw_injections(sample, rng))
         clock.lap("draw")
         records = self.run_batch(
             samples, registry=registry, clock=clock, injections=injections
@@ -829,22 +610,16 @@ class CrossLevelEngine:
             )
         if tracer.enabled:
             tracer.add_laps(clock.laps, sample=0)
-        kept: List[SampleRecord] = []
         for i, record in enumerate(records):
             if registry is not None:
                 observe_record(registry, record)
             estimator.push(samples[i], record.e)
-            kept.append(record)
             if progress is not None:
                 progress(i, estimator)
-            if self.config.stop_on_convergence and estimator.converged(
-                self.config.convergence_rel_tol, self.config.min_samples
-            ):
-                break
         wall = time.perf_counter() - start
         return CampaignResult(
             strategy=sampler.name,
-            records=kept,
+            records=records,
             estimator=estimator,
             wall_time_s=wall,
             metrics=registry.snapshot() if registry is not None else None,
@@ -900,9 +675,6 @@ class CrossLevelEngine:
         simulator = context.simulator
         simulator.restart_from(context.golden, injection_cycle)
         simulator.step()
-        masks: Dict[str, int] = {}
-        for register, bit in flips:
-            masks[register] = masks.get(register, 0) | (1 << bit)
-        simulator.inject_bit_errors(masks)
+        self._write_back(flips)
         simulator.run_to(context.n_cycles)
         return 1 if context.benchmark.attack_succeeded(context.soc) else 0

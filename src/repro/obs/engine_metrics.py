@@ -32,17 +32,17 @@ in ``docs/architecture.md``):
 ``engine_baseline_cache_total{outcome}``  counter    cycle-baseline cache hit/miss
 ``engine_baseline_cache_hit_ratio``       gauge      lifetime cache hit ratio
 ``engine_batch_seconds``                  histogram  whole-batch wall time
-``engine_batch_fallback_total{reason}``   counter    campaigns refused by the batched kernel
 ``engine_baseline_store_total{outcome}``  counter    persistent baseline store hit/miss/write/rejected
 ``engine_baseline_store_hit_ratio``       gauge      lifetime persistent-store hit ratio
 ========================================  =========  ==============================
 
-The batch/cache metrics describe *how* the batched kernel executed, not
-*what* it computed: batch composition depends on chunk boundaries and the
-cache on engine lifetime (worker count), so all of them are flagged
+The batch/cache metrics describe *how* the kernel executed, not *what* it
+computed: batch composition depends on chunk boundaries and the cache on
+engine lifetime (worker count), so all of them are flagged
 non-deterministic and excluded from the deterministic view — which is
-exactly why a batched and a scalar run of the same spec still compare
-equal on :func:`~repro.obs.metrics.deterministic_view`.
+exactly why runs of one spec under different worker counts, or
+interrupted and resumed, still compare equal on
+:func:`~repro.obs.metrics.deterministic_view`.
 """
 
 from __future__ import annotations
@@ -188,20 +188,6 @@ def observe_batch(
         registry.gauge(
             "engine_baseline_cache_hit_ratio", deterministic=False
         ).set(hits.value / total)
-
-
-def observe_batch_fallback(registry: MetricsRegistry, reason: str) -> None:
-    """Count one ``evaluate`` call that fell back to the scalar loop.
-
-    ``reason`` names the gate that refused batching (``disabled``,
-    ``stop_on_convergence``).  Fallbacks depend on engine configuration,
-    not on sample outcomes, so the counter is non-deterministic — a
-    batched and a scalar run of the same spec must still compare equal
-    on the deterministic view.
-    """
-    registry.counter(
-        "engine_batch_fallback_total", deterministic=False, reason=reason
-    ).inc()
 
 
 def observe_baseline_store(

@@ -1,9 +1,9 @@
 """Observability logger with one-time warnings and structured records.
 
 A thin veneer over :mod:`logging` so every subsystem warns through the
-same ``repro.obs`` channel, plus :func:`warn_once` for configuration
-hazards that would otherwise spam once per chunk (e.g. the
-``EngineConfig.stop_on_convergence`` / campaign stopping-rule overlap).
+same ``repro.obs`` channel, plus :func:`warn_once` for hazards that would
+otherwise spam once per chunk (e.g. a tracer dropping events past its
+buffer bound).
 
 :class:`LogBuffer` is the fleet-side companion: a bounded, JSON-able
 buffer of structured log records bound to a correlation context (run id,

@@ -22,7 +22,7 @@ metadata naming each lane) and instant annotations (leases, heartbeats,
 re-issues) into one merged trace.
 
 :class:`StageClock` is the cheap companion used inside
-``CrossLevelEngine.run_sample``: one ``perf_counter`` call per stage
+``CrossLevelEngine.run_batch``: one ``perf_counter`` call per stage
 boundary, laps collected as ``(stage, start_s, duration_s)`` tuples that
 feed both the stage-seconds histograms and (when tracing) per-stage
 spans.

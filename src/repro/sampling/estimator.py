@@ -67,14 +67,6 @@ class SsfEstimator:
         """Chebyshev sample-count bound at the current variance estimate."""
         return samples_for_risk(self.variance, epsilon, delta)
 
-    def converged(self, rel_tol: float = 0.1, min_samples: int = 100) -> bool:
-        """Heuristic stop rule: standard error below ``rel_tol`` of SSF."""
-        if self.n_samples < min_samples:
-            return False
-        if self.ssf <= 0.0:
-            return False
-        return self.std_error <= rel_tol * self.ssf
-
     def summary(self) -> dict:
         return {
             "n_samples": self.n_samples,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -151,10 +151,7 @@ class SurrogateEngine:
         post_step = self._post_step_checkpoint(injection_cycle)
         post_step.restore(context.soc)
         simulator.cycle = post_step.cycle
-        masks: Dict[str, int] = {}
-        for register, bit in flipped:
-            masks[register] = masks.get(register, 0) | (1 << bit)
-        simulator.inject_bit_errors(masks)
+        self.exact._write_back(flipped)
         clock.lap("writeback")
         simulator.run_to(context.n_cycles)
         clock.lap("rtl_resume")
@@ -307,7 +304,7 @@ def _evaluate_loop(
 ) -> CampaignResult:
     """Shared campaign body for the surrogate-family engines.
 
-    Mirrors the exact engine's scalar ``evaluate`` seed policy: a
+    Mirrors the exact engine's ``evaluate`` seed policy: a
     ``SeedSequence`` derives one independent child stream per sample
     (the campaign/fleet path, replayable in isolation); an int /
     ``Generator`` / ``None`` keeps a single shared stream.  The
@@ -338,10 +335,6 @@ def _evaluate_loop(
         records.append(record)
         if progress is not None:
             progress(i, estimator)
-        if engine.config.stop_on_convergence and estimator.converged(
-            engine.config.convergence_rel_tol, engine.config.min_samples
-        ):
-            break
     if registry is not None:
         set_surrogate_gauges(registry, n_hits, len(records))
     wall = time.perf_counter() - start

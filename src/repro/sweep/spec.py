@@ -30,7 +30,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.campaign.spec import CampaignSpec, StoppingConfig
+from repro.campaign.spec import LEGACY_FIELDS, CampaignSpec, StoppingConfig
 from repro.campaign.spec_hash import (
     NON_SEMANTIC_FIELDS,
     code_version_salt,
@@ -55,10 +55,11 @@ VALID_AXES = SWEEPABLE_FIELDS + tuple(
 )
 
 #: Every legal ``base`` key: any campaign field (non-semantic knobs are
-#: fine in the base — they configure execution without forking points).
+#: fine in the base — they configure execution without forking points),
+#: plus the retired fields campaign specs still accept and drop.
 VALID_BASE_FIELDS = tuple(
     f.name for f in dataclasses.fields(CampaignSpec)
-)
+) + LEGACY_FIELDS
 
 
 @dataclass(frozen=True)

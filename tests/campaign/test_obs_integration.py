@@ -1,6 +1,6 @@
 """Observability integration with the campaign runner: merged-metric
 determinism across worker counts and interruption, hook-chain ordering,
-the stopping-rule overlap warning, and the metrics exports."""
+and the metrics exports."""
 
 import io
 import logging
@@ -18,13 +18,11 @@ from repro.campaign import (
     RunStore,
     StoppingConfig,
 )
-from repro.core.engine import EngineConfig
 from repro.obs import (
     MetricsRegistry,
     Tracer,
     deterministic_view,
     load_metrics_jsonl,
-    reset_warn_once,
 )
 
 from tests.campaign.stubs import BernoulliEngine, InstrumentedEngine, StubSampler
@@ -202,26 +200,12 @@ class TestHookChainOrdering:
 
 
 class TestStoppingOverlapWarning:
-    @pytest.fixture(autouse=True)
-    def _fresh(self):
-        reset_warn_once()
-        yield
-        reset_warn_once()
-
-    def test_engine_stop_under_campaign_warns_once(self, caplog):
-        engine = BernoulliEngine(p=0.3)
-        engine.config = EngineConfig(stop_on_convergence=True)
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            run_spec(engine=engine)
-            run_spec(engine=engine)
-        assert caplog.text.count("active under campaign orchestration") == 1
-
     def test_no_warning_without_overlap(self, caplog):
-        engine = BernoulliEngine(p=0.3)
-        engine.config = EngineConfig(stop_on_convergence=False)
+        """Early stopping lives in the campaign stopping rule alone, so a
+        campaign run has nothing to warn about."""
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            run_spec(engine=engine)
-        assert "stop_on_convergence" not in caplog.text
+            run_spec(engine=BernoulliEngine(p=0.3))
+        assert caplog.text == ""
 
 
 class TestTracing:

@@ -142,6 +142,69 @@ class TestResume:
         assert resumed.ssf == finished.ssf
         assert resumed.n_samples == finished.n_samples
 
+    def test_legacy_batch_false_spec_resumes_bit_identically(
+        self, tmp_path, small_context
+    ):
+        """A run directory from before the ``batch`` field was retired:
+        its ``spec.json`` says ``"batch": false``.  Resume drops the key
+        and continues on the one engine path to the uninterrupted run's
+        exact log and estimate."""
+        import json
+
+        from repro import RandomSampler, default_attack_spec
+        from repro.core.engine import CrossLevelEngine
+
+        attack = default_attack_spec(
+            small_context, window=10, subblock_fraction=0.25
+        )
+        spec = CampaignSpec(
+            sampler="random",
+            window=10,
+            subblock_fraction=0.25,
+            seed=17,
+            chunk_size=15,
+            stopping=StoppingConfig(mode="fixed", n_samples=60),
+        )
+
+        def runner(store, hooks=None):
+            return CampaignRunner(
+                spec,
+                store=store,
+                hooks=hooks,
+                engine=CrossLevelEngine(small_context, attack),
+                sampler=RandomSampler(attack),
+                n_workers=1,
+            )
+
+        whole = RunStore.create(tmp_path, spec, run_id="whole")
+        baseline = runner(whole).run()
+        store = RunStore.create(tmp_path, spec, run_id="legacy")
+        with pytest.raises(KeyboardInterrupt):
+            runner(store, hooks=InterruptAfter(2)).run()
+        spec_file = store.path / "spec.json"
+        data = json.loads(spec_file.read_text())
+        data["batch"] = False
+        spec_file.write_text(json.dumps(data))
+
+        resumed = CampaignRunner.resume(
+            store,
+            engine=CrossLevelEngine(small_context, attack),
+            sampler=RandomSampler(attack),
+            n_workers=1,
+        )
+        assert resumed.records == baseline.records
+        assert resumed.ssf == baseline.ssf
+        assert resumed.variance == baseline.variance
+
+        def stripped(run):
+            lines = (run.path / "log.jsonl").read_text().splitlines()
+            return [
+                {k: v for k, v in json.loads(line).items() if k != "metrics"}
+                for line in lines
+            ]
+
+        assert stripped(store) == stripped(whole)
+
     def test_resume_without_store_rejected(self):
         runner = CampaignRunner(
             ADAPTIVE_SPEC, engine=BernoulliEngine(), sampler=StubSampler()

@@ -53,6 +53,29 @@ class TestCampaignSpec:
         with pytest.raises(EvaluationError):
             load_spec(path)
 
+    def test_legacy_batch_key_is_dropped(self):
+        """``batch`` was retired with the scalar engine loop; specs that
+        still carry it load as if it were absent."""
+        for value in (True, False):
+            data = {**CampaignSpec(seed=4).to_dict(), "batch": value}
+            assert CampaignSpec.from_dict(data) == CampaignSpec(seed=4)
+
+    def test_missing_charac_cache_is_an_error_before_any_build(
+        self, tmp_path, monkeypatch
+    ):
+        """A named pre-characterization that does not exist must fail
+        naming the path, not silently re-characterize."""
+        import repro.core.context as context_module
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("context built despite the missing cache")
+
+        monkeypatch.setattr(context_module, "build_context", no_build)
+        missing = tmp_path / "nope.json"
+        spec = CampaignSpec(charac_cache=str(missing))
+        with pytest.raises(EvaluationError, match="nope.json"):
+            spec.build_runtime()
+
     def test_invalid_fields_rejected(self):
         with pytest.raises(EvaluationError):
             CampaignSpec(chunk_size=0)

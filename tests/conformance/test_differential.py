@@ -10,6 +10,7 @@ Full tier (``REPRO_CONFORMANCE=full``, set in the CI conformance job):
 every registry design with its own context build — minutes, not seconds.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -20,7 +21,10 @@ from repro.conformance import (
     get_design,
     run_design,
 )
-from repro.core.engine import EngineConfig
+from repro.conformance.differential import _check_sampler, build_samplers
+from repro.core.exhaustive import enumerate_single_bit_faults
+
+from tests.core.scalar_reference import ScalarReference
 
 FAST_CONFIG = DifferentialConfig(epsilon=0.06, max_samples=4000, seed=7)
 
@@ -81,27 +85,47 @@ class TestDifferentialFast:
 
 
 class TestDifferentialBatchedKernel:
-    """The oracle gate also covers the batched kernel (PR 5)."""
+    """The oracle gate also pins the kernel to the per-sample reference."""
 
     def test_default_engine_is_batched(self, small_context):
+        """The harness engine evaluates through ``run_batch``: its
+        cycle-baseline cache sees traffic."""
+        from repro.campaign import chunk_seed_sequence
+        from repro.sampling import RandomSampler
+
         built = get_design("write-cfg").build(small_context)
-        assert built.engine.config.batch
+        built.engine.evaluate(
+            RandomSampler(built.spec), 10, seed=chunk_seed_sequence(1, 0)
+        )
+        _, misses = built.engine.baseline_cache_stats
+        assert misses > 0
 
     def test_batched_and_scalar_harness_agree(self, small_context):
         """Same design, same seed tree: the differential harness must
-        produce identical verdicts whichever kernel runs underneath —
-        the strongest end-to-end statement of run_batch bit-identity."""
+        produce identical verdicts on the engine and on the test-only
+        per-sample reference — the strongest end-to-end statement of
+        run_batch bit-identity."""
         config = DifferentialConfig(epsilon=0.09, max_samples=1500, seed=11)
         design = get_design("write-cfg")
         batched = run_design(design, config, context=small_context)
-        scalar = run_design(
-            design, config, context=small_context,
-            engine_config=EngineConfig(batch=False),
+
+        built = design.build(small_context)
+        exact = enumerate_single_bit_faults(
+            built.engine,
+            bits=list(built.bits),
+            timing_distances=list(range(built.window)),
         )
-        assert batched.passed and scalar.passed
-        assert batched.exact_ssf == scalar.exact_ssf
+        reference = dataclasses.replace(
+            built, engine=ScalarReference(built.engine)
+        )
+        verdicts = [
+            _check_sampler(reference, exact, name, sampler, config)
+            for name, sampler in build_samplers(built)
+        ]
+        assert batched.passed and all(v.passed for v in verdicts)
+        assert batched.exact_ssf == exact.ssf_exact
         assert [v.to_dict() for v in batched.verdicts] == [
-            v.to_dict() for v in scalar.verdicts
+            v.to_dict() for v in verdicts
         ]
 
 

@@ -44,13 +44,11 @@ def completed_run(small_context, tmp_path_factory):
 
 class TestReplay:
     def test_campaign_ran_through_the_batched_kernel(self, completed_run):
-        """The campaign above ran on the default (batched) engine with
-        SeedSequence-seeded chunks, so the batch gate engaged: the cycle
-        cache saw traffic.  Every replay below then reconstructs those
-        samples through the *scalar* run_sample path — batched-run logs
-        replay bit-identically on the reference kernel."""
+        """The campaign above ran SeedSequence-seeded chunks through
+        ``run_batch``: the cycle cache saw traffic.  Every replay below
+        reconstructs those samples one at a time — logs replay
+        bit-identically on a batch of one and on the reference."""
         built, _ = completed_run
-        assert built.engine.config.batch
         hits, misses = built.engine.baseline_cache_stats
         assert misses > 0
         assert hits + misses > 0
@@ -58,19 +56,21 @@ class TestReplay:
     def test_batched_run_sample_replays_scalar_bit_identical(
         self, completed_run
     ):
-        """Belt-and-braces on top of the suite-wide property: replay a
-        batched-run sample on an engine that cannot batch."""
+        """Replay logged samples on the test-only per-sample reference,
+        which shares no cache and no gate-level simulator with the engine
+        that wrote the log."""
         built, store = completed_run
-        from repro.core.engine import CrossLevelEngine, EngineConfig
+        from repro.core.engine import CrossLevelEngine
 
-        scalar_engine = CrossLevelEngine(
-            built.context, built.spec,
-            config=EngineConfig(batch=False), observe=False,
+        from tests.core.scalar_reference import ScalarReference
+
+        reference = ScalarReference(
+            CrossLevelEngine(built.context, built.spec, observe=False)
         )
         for idx in (0, CHUNK_SIZE, N_SAMPLES - 1):
             outcome = replay_sample(
                 store, idx,
-                engine=scalar_engine,
+                engine=reference,
                 sampler=RandomSampler(built.spec),
             )
             assert outcome.bit_identical, (idx, outcome.diff())

@@ -1,14 +1,12 @@
-"""Batched kernel ≡ scalar reference path, bit for bit (PR 5 tentpole).
+"""Batched kernel ≡ per-sample reference, bit for bit.
 
 ``CrossLevelEngine.run_batch`` packs samples sharing an injection cycle
 into one gate-level ``simulate_cycle_batch`` call over a cached cycle
-baseline.  The contract is *bit-identity* with the scalar ``run_sample``
-path: identical ``SampleRecord`` streams, identical estimator state
-(Welford updates in original sample order), and identical deterministic
-metric views — for every sampler, seed, and batch shape.
-
-The scalar path is deliberately untouched by the batching work, so it is
-the reference implementation these tests compare against.
+baseline.  The contract is *bit-identity* with the per-sample flow kept
+as a test-only oracle (:mod:`tests.core.scalar_reference`): identical
+``SampleRecord`` streams, identical estimator state (Welford updates in
+original sample order), and identical deterministic metric views — for
+every sampler, seed, and batch shape.
 
 Fast tier: the write-cfg conformance design (pinpoint upsets) and a
 voltage-transient spec, both over the shared session context.  Full tier
@@ -32,23 +30,23 @@ from repro.obs.metrics import MetricsRegistry, deterministic_view
 from repro.sampling import ImportanceSampler, RandomSampler
 from repro.utils.rng import as_generator, sample_seed_sequence
 
+from tests.core.scalar_reference import ScalarReference
+
 FULL = os.environ.get("REPRO_CONFORMANCE") == "full"
 
 
-def _engine_pair(context, spec, **config_kwargs):
-    """(batched, scalar) engines over one shared context + attack spec."""
-    batched = CrossLevelEngine(
-        context, spec, config=EngineConfig(batch=True, **config_kwargs)
+def _engine_pair(context, spec):
+    """(engine, reference) over one shared context + attack spec; the
+    reference wraps an engine instance of its own."""
+    return (
+        CrossLevelEngine(context, spec),
+        ScalarReference(CrossLevelEngine(context, spec)),
     )
-    scalar = CrossLevelEngine(
-        context, spec, config=EngineConfig(batch=False, **config_kwargs)
-    )
-    return batched, scalar
 
 
 @pytest.fixture(scope="module")
 def pinpoint(small_context):
-    """write-cfg design + (batched, scalar) engine pair + named samplers."""
+    """write-cfg design + (engine, reference) pair + named samplers."""
     built = get_design("write-cfg").build(small_context)
     batched, scalar = _engine_pair(built.context, built.spec)
     return built, batched, scalar, dict(build_samplers(built))
@@ -126,7 +124,7 @@ class TestRaggedBatches:
         sampler = samplers["uniform"]
         samples = [sampler.sample(rng) for rng in rngs_b]
         got = batched.run_batch(samples, rngs_b)
-        # Twin streams: the scalar reference re-draws identically.
+        # Twin streams: the reference re-draws identically.
         assert samples == [sampler.sample(rng) for rng in rngs_s]
         rngs_s = [as_generator(sample_seed_sequence(base, i)) for i in range(b)]
         for rng in rngs_s:
@@ -174,8 +172,8 @@ class TestRaggedBatches:
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_chunk_merge_equality(self, pinpoint):
-        """Merging per-chunk snapshots from batched runs equals the same
-        merge over scalar runs, on the deterministic view."""
+        """Merging per-chunk snapshots from engine runs equals the same
+        merge over reference runs, on the deterministic view."""
         _, batched, scalar, samplers = pinpoint
         sampler = samplers["uniform"]
         merged = {}
@@ -212,9 +210,9 @@ class TestMetrics:
 # ----------------------------------------------------------------------
 class TestGatingAndCache:
     def test_int_seed_engages_batched_kernel(self, pinpoint):
-        """An int seed means one shared stream — since PR 9 the kernel
-        pre-draws (sample, injections) pairs in the exact scalar
-        interleave, so shared-stream seeds batch too, bit-identically."""
+        """An int seed means one shared stream — the kernel pre-draws
+        (sample, injections) pairs in the per-sample interleave, so
+        shared-stream seeds batch too, bit-identically."""
         _, batched, scalar, samplers = pinpoint
         hits, misses = batched.baseline_cache_stats
         rb = batched.evaluate(samplers["uniform"], 30, seed=12345)
@@ -226,8 +224,8 @@ class TestGatingAndCache:
 
     def test_multi_impact_cycles_batches(self, small_context):
         """impact_cycles > 1: samples stay batched while their RTL state
-        tracks golden, diverging to a scalar continuation on the first
-        flip — still bit-identical to the scalar loop."""
+        tracks golden, diverging to a per-sample continuation on the
+        first flip — still bit-identical to the reference."""
         spec = default_attack_spec(
             small_context, window=8, subblock_fraction=0.25
         )
@@ -260,7 +258,7 @@ class TestGatingAndCache:
         )
         engine = CrossLevelEngine(
             small_context, spec,
-            config=EngineConfig(batch=True, baseline_cache_size=3),
+            config=EngineConfig(baseline_cache_size=3),
         )
         sampler = RandomSampler(spec)
         result = engine.evaluate(sampler, 60, seed=np.random.SeedSequence(3))

@@ -1,27 +1,23 @@
-"""Universal batching: the equivalence matrix (PR 9 tentpole).
+"""Universal batching: the equivalence matrix.
 
-PR 5 proved the batched kernel bit-identical to the scalar reference on
-its original envelope: per-sample ``SeedSequence`` streams and
-``impact_cycles == 1``.  This suite locks down the *universal* kernel —
-``run_batch`` now engages for every seed kind (``SeedSequence`` / int /
-``Generator`` / ``None``) and any ``impact_cycles``, grouping samples by
-their full injection-cycle tuple and diverging to a scalar continuation
-only after a sample actually flips state.
+``CrossLevelEngine.run_batch`` is the engine's one kernel: it runs every
+seed kind (``SeedSequence`` / int / ``Generator`` / ``None``) and any
+``impact_cycles``, grouping samples by injection cycle and diverging to a
+per-sample continuation only after a sample actually flips state.  This
+suite compares it against the test-only per-sample reference
+(:mod:`tests.core.scalar_reference`).
 
 The matrix swept here:
 
 * **seed kind** × **impact_cycles ∈ {1, 2, 3}** × **batch size** (around
   the uint64 lane-word boundary, plus a 257-sample run) × **technique
   variant** (voltage transient and pinpoint upsets);
-* conformance-oracle runs through ``registry.build(config=...)`` on the
-  write-cfg design, so the differential harness' own construction path
-  covers the new kernel;
-* ``repro replay`` semantics on the new paths: a multi-cycle campaign
-  logged through the batched kernel must replay bit-identically on the
-  scalar ``run_sample`` reference.
-
-The scalar path remains deliberately untouched — it is the reference
-implementation every comparison grounds on.
+* conformance-oracle runs through ``registry.build`` on the write-cfg
+  design, so the differential harness' own construction path is covered;
+* ``repro replay`` semantics: a multi-cycle campaign logged through the
+  kernel must replay bit-identically on the reference, and
+  ``run_sample`` (a batch of one) must leave every stream where the
+  reference leaves it.
 """
 
 import numpy as np
@@ -38,11 +34,12 @@ from repro.campaign import (
 )
 from repro.conformance import get_design, replay_sample
 from repro.conformance.differential import build_samplers
-from repro.core.engine import CrossLevelEngine, EngineConfig
-from repro.obs.logging import reset_warn_once
+from repro.core.engine import CrossLevelEngine
 from repro.obs.metrics import deterministic_view
 from repro.sampling import RandomSampler
 from repro.utils.rng import as_generator, sample_seed_sequence
+
+from tests.core.scalar_reference import ScalarReference
 
 IMPACTS = (1, 2, 3)
 SEED_KINDS = ("seedseq", "int", "generator")
@@ -51,7 +48,7 @@ SEED_KINDS = ("seedseq", "int", "generator")
 def _seed_pair(kind: str, value: int):
     """Two independent-but-identical seeds of one kind.
 
-    Generators are stateful, so the batched and scalar runs each need
+    Generators are stateful, so the engine and reference runs each need
     their own twin; SeedSequence/int seeds are value-like but twins keep
     the call shape uniform.
     """
@@ -73,13 +70,13 @@ def _assert_results_identical(rb, rs):
 
 
 def _engaged(result) -> bool:
-    """Did the batched kernel actually run (vs the scalar fallback)?"""
+    """Did the batched kernel record its batch shapes?"""
     return any(m["name"] == "engine_batch_size" for m in (result.metrics or []))
 
 
 @pytest.fixture(scope="module")
 def transient_engines(small_context):
-    """impact_cycles -> (batched, scalar, sampler) on the transient spec.
+    """impact_cycles -> (engine, reference, sampler) on the transient spec.
 
     One spec per impact value: the engines share the session context but
     each spec owns its technique (``impact_cycles`` is a technique
@@ -90,31 +87,27 @@ def transient_engines(small_context):
             small_context, window=10, subblock_fraction=0.25
         )
         spec.technique.impact_cycles = impact
-        batched = CrossLevelEngine(
-            small_context, spec, config=EngineConfig(batch=True)
-        )
-        scalar = CrossLevelEngine(
-            small_context, spec, config=EngineConfig(batch=False)
-        )
+        batched = CrossLevelEngine(small_context, spec)
+        scalar = ScalarReference(CrossLevelEngine(small_context, spec))
         out[impact] = (batched, scalar, RandomSampler(spec))
     return out
 
 
 @pytest.fixture(scope="module")
 def pinpoint_engines(small_context):
-    """impact_cycles -> (batched, scalar, samplers) via the conformance
-    registry's own ``build(config=...)`` path (the oracle harness)."""
+    """impact_cycles -> (engine, reference, samplers) via the conformance
+    registry's own ``build`` path (the oracle harness)."""
     out = {}
     for impact in IMPACTS:
-        built_b = get_design("write-cfg").build(
-            small_context, config=EngineConfig(batch=True)
-        )
-        built_s = get_design("write-cfg").build(
-            small_context, config=EngineConfig(batch=False)
-        )
+        built_b = get_design("write-cfg").build(small_context)
+        built_s = get_design("write-cfg").build(small_context)
         built_b.spec.technique.impact_cycles = impact
         built_s.spec.technique.impact_cycles = impact
-        out[impact] = (built_b.engine, built_s.engine, dict(build_samplers(built_b)))
+        out[impact] = (
+            built_b.engine,
+            ScalarReference(built_s.engine),
+            dict(build_samplers(built_b)),
+        )
     return out
 
 
@@ -136,7 +129,6 @@ class TestUniversalMatrix:
         rs = scalar.evaluate(sampler, n, seed=ss)
         _assert_results_identical(rb, rs)
         assert _engaged(rb)
-        assert not _engaged(rs)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -160,7 +152,7 @@ class TestUniversalMatrix:
         assert rb.estimator.history == rs.estimator.history
 
     def test_none_seed_engages_batched_kernel(self, transient_engines):
-        """None-seed runs draw fresh OS entropy, so there is no scalar
+        """None-seed runs draw fresh OS entropy, so there is no reference
         twin to compare against — the contract is engagement plus a
         well-formed record stream."""
         batched, _, sampler = transient_engines[2]
@@ -176,8 +168,8 @@ class TestBatchShapes:
     @pytest.mark.parametrize("impact", [1, 2])
     @pytest.mark.parametrize("b", [1, 63, 64, 65])
     def test_lane_word_boundaries(self, transient_engines, b, impact):
-        """run_batch over b samples == b scalar run_sample calls on twin
-        streams, for single- and multi-cycle techniques."""
+        """run_batch over b samples == b reference run_sample calls on
+        twin streams, for single- and multi-cycle techniques."""
         batched, scalar, sampler = transient_engines[impact]
         base = np.random.SeedSequence(5150 + 7 * b + impact)
         rngs_b = [as_generator(sample_seed_sequence(base, i)) for i in range(b)]
@@ -205,8 +197,8 @@ class TestBatchShapes:
     def test_shared_stream_interleave_matches_scalar_consumption(
         self, transient_engines
     ):
-        """The batched kernel pre-draws (sample_i, injections_i) pairs in
-        the exact scalar interleave, so a shared Generator stream stays
+        """The kernel pre-draws (sample_i, injections_i) pairs in the
+        per-sample interleave, so a shared Generator stream stays
         bit-compatible; a direct spot-check on the stream position."""
         batched, scalar, sampler = transient_engines[3]
         rb = batched.evaluate(sampler, 17, seed=np.random.default_rng(41))
@@ -215,19 +207,17 @@ class TestBatchShapes:
 
 
 # ----------------------------------------------------------------------
-# replay on the new code paths
+# replay: run_sample is a batch of one
 # ----------------------------------------------------------------------
 class TestReplayNewPaths:
     @pytest.fixture(scope="class")
     def multi_cycle_run(self, small_context, tmp_path_factory):
-        """A durable campaign through the batched multi-cycle kernel."""
+        """A durable campaign through the multi-cycle kernel."""
         spec_obj = default_attack_spec(
             small_context, window=10, subblock_fraction=0.25
         )
         spec_obj.technique.impact_cycles = 2
-        engine = CrossLevelEngine(
-            small_context, spec_obj, config=EngineConfig(batch=True)
-        )
+        engine = CrossLevelEngine(small_context, spec_obj)
         spec = CampaignSpec(
             benchmark="write",
             sampler="random",
@@ -253,84 +243,42 @@ class TestReplayNewPaths:
         self, multi_cycle_run
     ):
         engine, spec_obj, store = multi_cycle_run
-        scalar = CrossLevelEngine(
-            engine.context, spec_obj, config=EngineConfig(batch=False)
-        )
+        scalar = ScalarReference(CrossLevelEngine(engine.context, spec_obj))
         sampler = RandomSampler(spec_obj)
         for index in (0, 19, 20, 59):
-            replayed = replay_sample(
-                store, index, engine=scalar, sampler=sampler
+            for replayer in (engine, scalar):
+                replayed = replay_sample(
+                    store, index, engine=replayer, sampler=sampler
+                )
+                assert replayed.logged == replayed.replayed
+
+    @pytest.mark.parametrize("impact", [1, 2, 3])
+    def test_run_sample_matches_reference_and_stream_position(
+        self, transient_engines, impact
+    ):
+        """One sample at a time: identical records, and each stream left
+        at the same position (a caller drawing on after ``run_sample`` —
+        the two-stage screen, calibration — sees the same numbers)."""
+        engine, scalar, sampler = transient_engines[impact]
+        base = np.random.SeedSequence(8080 + impact)
+        for i in range(40):
+            rng_b = as_generator(sample_seed_sequence(base, i))
+            rng_s = as_generator(sample_seed_sequence(base, i))
+            sample = sampler.sample(rng_b)
+            assert sampler.sample(rng_s) == sample
+            assert engine.run_sample(sample, rng_b) == scalar.run_sample(
+                sample, rng_s
             )
-            assert replayed.logged == replayed.replayed
-
-
-# ----------------------------------------------------------------------
-# fallback accounting (satellite: counter + one-time warning per reason)
-# ----------------------------------------------------------------------
-def _fallback_count(result, reason):
-    return sum(
-        m["value"]
-        for m in (result.metrics or [])
-        if m["name"] == "engine_batch_fallback_total"
-        and m.get("labels", {}).get("reason") == reason
-    )
+            assert rng_b.bit_generator.state == rng_s.bit_generator.state
 
 
 class TestBatchFallback:
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        reset_warn_once()
-        yield
-        reset_warn_once()
-
-    def test_disabled_reason_counted_and_warned_once(
-        self, transient_engines, caplog
-    ):
-        _, scalar, sampler = transient_engines[2]
-        with caplog.at_level("WARNING"):
-            r1 = scalar.evaluate(sampler, 3, seed=7)
-            r2 = scalar.evaluate(sampler, 3, seed=7)
-        assert _fallback_count(r1, "disabled") == 1
-        assert _fallback_count(r2, "disabled") == 1
-        warnings = [
-            rec for rec in caplog.records if "disengaged" in rec.message
-        ]
-        assert len(warnings) == 1  # warn_once: second call stays silent
-        # The warning names what the caller passed, so the log alone
-        # explains why this campaign took the scalar loop.
-        assert "disabled" in warnings[0].message
-        assert "seed kind=int" in warnings[0].message
-        assert "impact_cycles=2" in warnings[0].message
-
-    def test_stop_on_convergence_reason(self, small_context, caplog):
-        spec = default_attack_spec(
-            small_context, window=8, subblock_fraction=0.25
-        )
-        engine = CrossLevelEngine(
-            small_context,
-            spec,
-            config=EngineConfig(batch=True, stop_on_convergence=True),
-        )
-        with caplog.at_level("WARNING"):
-            result = engine.evaluate(
-                RandomSampler(spec), 5, seed=np.random.SeedSequence(3)
-            )
-        assert _fallback_count(result, "stop_on_convergence") == 1
-        assert not _engaged(result)
-        warnings = [
-            rec for rec in caplog.records if "disengaged" in rec.message
-        ]
-        assert len(warnings) == 1
-        assert "stop_on_convergence" in warnings[0].message
-        assert "seed kind=SeedSequence" in warnings[0].message
-
     def test_batched_run_emits_no_fallback_counter(self, transient_engines):
+        """No scalar loop is left to fall back to: every ``evaluate``
+        call runs the kernel (its batch shapes are recorded) and no
+        fallback counter exists."""
         batched, _, sampler = transient_engines[1]
         result = batched.evaluate(sampler, 5, seed=11)
         names = {m["name"] for m in result.metrics}
+        assert "engine_batch_size" in names
         assert "engine_batch_fallback_total" not in names
-        # Fallback accounting is observability, never semantics.
-        deterministic_names = {
-            m["name"] for m in deterministic_view(result.metrics)
-        }
-        assert "engine_batch_fallback_total" not in deterministic_names

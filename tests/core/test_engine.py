@@ -131,25 +131,18 @@ class TestCampaigns:
         assert hi > 0
         assert abs(random_result.ssf - imp_result.ssf) < 0.6 * hi + 0.02
 
-    def test_progress_callback_and_convergence_stop(self, engine, spec):
+    def test_progress_callback_sees_every_sample(self, engine, spec):
+        """``progress(i, estimator)`` fires once per sample, in order,
+        with the estimator already holding sample ``i``."""
         seen = []
-        engine_cfg = CrossLevelEngine(
-            engine.context,
-            spec,
-            EngineConfig(
-                stop_on_convergence=True,
-                convergence_rel_tol=10.0,
-                min_samples=10,
-            ),
-        )
-        result = engine_cfg.evaluate(
+        result = engine.evaluate(
             RandomSampler(spec),
-            n_samples=500,
+            n_samples=50,
             seed=2,
-            progress=lambda i, est: seen.append(i),
+            progress=lambda i, est: seen.append((i, est.n_samples)),
         )
-        assert seen  # callback ran
-        assert result.n_samples <= 500
+        assert seen == [(i, i + 1) for i in range(50)]
+        assert result.n_samples == 50
 
     def test_invalid_sample_count(self, engine, spec):
         with pytest.raises(EvaluationError):

@@ -50,20 +50,6 @@ class TestSsfEstimator:
         lo, hi = est.raw_confidence_interval()
         assert lo < est.success_rate() < hi
 
-    def test_convergence_criterion(self):
-        est = SsfEstimator()
-        assert not est.converged()
-        rng = np.random.default_rng(1)
-        for _ in range(5000):
-            est.push(sample(), int(rng.random() < 0.3))
-        assert est.converged(rel_tol=0.2)
-
-    def test_zero_ssf_never_converges(self):
-        est = SsfEstimator()
-        for _ in range(1000):
-            est.push(sample(), 0)
-        assert not est.converged()
-
     def test_samples_needed_uses_variance(self):
         est = SsfEstimator()
         for i in range(100):

@@ -26,7 +26,7 @@ import pytest
 
 from repro import default_attack_spec
 from repro.campaign import CampaignSpec, RunStore, StoppingConfig
-from repro.core.engine import CrossLevelEngine, EngineConfig
+from repro.core.engine import CrossLevelEngine
 from repro.fleet import FleetWorker
 from repro.sampling import RandomSampler
 from repro.service import EvaluationService
@@ -47,7 +47,7 @@ def artifact_root(tmp_path):
 @pytest.fixture()
 def engine(small_context):
     spec = default_attack_spec(small_context, window=8, subblock_fraction=0.25)
-    return CrossLevelEngine(small_context, spec, config=EngineConfig(batch=True))
+    return CrossLevelEngine(small_context, spec)
 
 
 def _store_for(artifact_root, context, **overrides):

@@ -147,16 +147,18 @@ class TestSemanticFields:
         ) == spec_hash(CampaignSpec())
 
     def test_batch_is_not_semantic(self):
-        """The batched kernel is bit-identical to the scalar path, so
-        batched and scalar runs of one spec share a cache entry."""
-        assert spec_hash(CampaignSpec(batch=False)) == spec_hash(
-            CampaignSpec(batch=True)
-        )
+        """The retired ``batch`` key (batched or scalar engine loop, with
+        bit-identical records) is dropped on load, whatever its value."""
+        data = CampaignSpec().to_dict()
+        assert spec_hash(
+            CampaignSpec.from_dict({**data, "batch": False})
+        ) == spec_hash(CampaignSpec.from_dict({**data, "batch": True}))
 
     def test_batch_off_still_matches_the_golden_pin(self):
-        # ``batch`` is excluded from the canonical dict, so flipping the
-        # escape hatch must still resolve to the golden default entry.
-        assert spec_hash(CampaignSpec(batch=False)) == GOLDEN_DEFAULT
+        # Old run directories, job stores and sweep documents carry
+        # ``"batch": false``; they must resolve to their old cache entry.
+        data = {**CampaignSpec().to_dict(), "batch": False}
+        assert spec_hash(CampaignSpec.from_dict(data)) == GOLDEN_DEFAULT
 
     def test_engine_is_semantic(self):
         """Swapping the evaluation backend changes what is estimated

@@ -323,7 +323,6 @@ def campaign_specs(draw):
             st.sampled_from((None, "cal.json", "/tmp/artifacts/cal.json"))
         ),
         trace=draw(st.booleans()),
-        batch=draw(st.booleans()),
         stopping=draw(stopping_configs()),
     )
 

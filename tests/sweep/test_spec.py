@@ -35,10 +35,10 @@ class TestValidation:
             assert name in message
 
     def test_non_semantic_axis_is_rejected(self):
-        # batch/trace/telemetry/... are excluded from the spec hash, so
-        # an axis over them would collapse to one cached point.
+        # trace/telemetry/... are excluded from the spec hash, so an axis
+        # over them would collapse to one cached point.
         with pytest.raises(SweepError, match="excluded from the spec hash"):
-            make_spec(axes={"batch": (True, False)})
+            make_spec(axes={"trace": (True, False)})
 
     def test_empty_axis_is_rejected(self):
         with pytest.raises(SweepError, match="non-empty list"):
@@ -76,6 +76,18 @@ class TestValidation:
         # They configure execution without forking points.
         spec = make_spec(base={**BASE, "batch": False, "trace": True})
         assert spec.expand().points
+
+    def test_legacy_batch_key_in_base_is_dropped(self):
+        """Sweep documents written while campaigns had a ``batch`` field
+        still expand, onto the same points and spec hashes."""
+        legacy = make_spec(base={**BASE, "batch": True}).expand()
+        current = make_spec().expand()
+        assert [p.digest for p in legacy.points] == [
+            p.digest for p in current.points
+        ]
+        assert [p.spec for p in legacy.points] == [
+            p.spec for p in current.points
+        ]
 
 
 class TestExpansion:

@@ -1,5 +1,7 @@
 """CLI tests (fast paths only; campaigns use tiny sample counts)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import BENCHMARKS, _parse_variant, build_parser, main
@@ -37,6 +39,16 @@ class TestParser:
         assert args.benchmark == "write"
         assert args.sampler == "importance"
         assert args.samples == 1000
+
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate"], ["campaign", "run"], ["submit"]],
+        ids=["evaluate", "campaign-run", "submit"],
+    )
+    def test_no_batch_flag_is_gone(self, command):
+        """One engine path: the scalar escape hatch is no longer a flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--no-batch"])
 
     def test_all_benchmarks_registered(self):
         assert set(BENCHMARKS) == {"write", "read", "dma"}
@@ -157,6 +169,26 @@ class TestCliErrorHandling:
         )
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_missing_charac_cache_is_an_error_not_a_rebuild(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """An explicit ``--charac-cache`` that does not exist used to
+        re-characterize silently (~4-8 s); it is now one ``error:``
+        line naming the path, exit 2, before any context build."""
+        import repro.core.context as context_module
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("context built despite the missing cache")
+
+        monkeypatch.setattr(context_module, "build_context", no_build)
+        missing = str(tmp_path / "typo.json")
+        for command in (["evaluate"], ["characterize", "--out", "x.json"]):
+            code = main(command + ["--charac-cache", missing])
+            assert code == 2
+            last = capsys.readouterr().err.strip().splitlines()[-1]
+            assert last.startswith("error:")
+            assert missing in last
 
     def test_unreachable_service_is_clean(self, capsys):
         code = main(
@@ -409,3 +441,55 @@ class TestCommands:
         )
         assert code == 0
         assert "none+parity" in capsys.readouterr().out
+
+
+def _table(text: str) -> dict:
+    """``quantity | value`` rows of a printed table, as a dict."""
+    rows = {}
+    for line in text.splitlines():
+        if "|" in line:
+            key, _, value = line.partition("|")
+            rows[key.strip()] = value.strip()
+    return rows
+
+
+@pytest.mark.slow
+class TestEvaluatePins:
+    """``repro evaluate`` output pinned across the engine refactors.
+
+    One worker evaluates in-process on per-sample streams of
+    ``SeedSequence(seed)``; N workers run the campaign scheduler over
+    ``ceil(n / 4N)``-sample chunks on spawned chunk streams, so the two
+    print different (each reproducible) estimates.
+    """
+
+    ARGS = ["evaluate", "--benchmark", "write", "-n", "120", "--window", "8",
+            "--seed", "5"]
+
+    @pytest.fixture(scope="class")
+    def charac(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("charac") / "write.json")
+        assert main(["characterize", "--benchmark", "write",
+                     "--out", path]) == 0
+        return path
+
+    def test_one_worker(self, charac, capsys):
+        capsys.readouterr()
+        assert main(self.ARGS + ["--charac-cache", charac]) == 0
+        rows = _table(capsys.readouterr().out)
+        assert rows["SSF"] == "0.01881"
+        assert rows["successes"] == "5/120"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_two_workers(self, charac, capsys):
+        capsys.readouterr()
+        assert main(
+            self.ARGS + ["--workers", "2", "--charac-cache", charac]
+        ) == 0
+        rows = _table(capsys.readouterr().out)
+        assert rows["SSF"] == "0.03009"
+        assert rows["successes"] == "8/120"
+        assert rows["sample variance"] == "1.278e-02"
