@@ -389,12 +389,17 @@ def cmd_campaign_run(args) -> int:
     from repro.campaign import CampaignRunner, ConsoleProgress, RunStore
 
     spec = _campaign_spec_from_args(args)
+    # Build before the run directory exists: a build that fails must not
+    # leave a run behind that reads ``running``.
+    engine, sampler = spec.build_runtime()
     store = RunStore.create(args.runs_dir, spec, run_id=args.run_id)
     print(f"campaign run {store.run_id} -> {store.path}", file=sys.stderr)
     runner = CampaignRunner(
         spec,
         store=store,
         hooks=ConsoleProgress(every=args.progress_every),
+        engine=engine,
+        sampler=sampler,
         n_workers=args.workers,
     )
     result = runner.run()

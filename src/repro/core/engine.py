@@ -50,11 +50,11 @@ from repro.core.results import CampaignResult, OutcomeCategory, SampleRecord
 from repro.errors import EvaluationError
 from repro.gatesim.transient import TransientSimulator
 from repro.obs.engine_metrics import (
+    metrics_from_records,
     observe_baseline_store,
     observe_batch,
     observe_batch_timing,
-    observe_batched_sample,
-    observe_record,
+    observe_slowest_samples,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_CLOCK, NULL_TRACER, StageClock
@@ -239,6 +239,8 @@ class CrossLevelEngine:
                 groups.setdefault(cycles[i], []).append(i)
 
         batch_sizes: List[int] = []
+        # (tail seconds, record) of every diverged sample, when observed.
+        tail_seconds: List[Tuple[float, SampleRecord]] = []
         for injection_cycle, indices in groups.items():
             n_exec = min(impact_cycles, context.n_cycles - injection_cycle)
             active = list(indices)
@@ -277,8 +279,8 @@ class CrossLevelEngine:
                         clock,
                     )
                     if registry is not None:
-                        observe_batched_sample(
-                            registry, records[i], time.perf_counter() - start
+                        tail_seconds.append(
+                            (time.perf_counter() - start, records[i])
                         )
                 active = still_golden
                 if not active:
@@ -294,6 +296,7 @@ class CrossLevelEngine:
                     n_pulses_latched=n_latched[i],
                 )
         if registry is not None:
+            observe_slowest_samples(registry, tail_seconds)
             observe_batch(
                 registry,
                 batch_sizes,
@@ -608,11 +611,10 @@ class CrossLevelEngine:
             observe_batch_timing(
                 registry, clock.stage_totals(), clock.total_seconds(), n_samples
             )
+            metrics_from_records(records, registry)
         if tracer.enabled:
             tracer.add_laps(clock.laps, sample=0)
         for i, record in enumerate(records):
-            if registry is not None:
-                observe_record(registry, record)
             estimator.push(samples[i], record.e)
             if progress is not None:
                 progress(i, estimator)

@@ -19,8 +19,6 @@ from repro.obs.engine_metrics import (
     FUNNEL_STAGES,
     STAGES,
     metrics_from_records,
-    observe_record,
-    observe_timing,
 )
 from repro.obs.logging import (
     LogBuffer,
@@ -93,8 +91,6 @@ __all__ = [
     "load_metrics_jsonl",
     "masking_funnel",
     "metrics_from_records",
-    "observe_record",
-    "observe_timing",
     "outcome_rates",
     "render_report",
     "reset_warn_once",

@@ -2,11 +2,11 @@
 
 The *deterministic* metrics (outcome counters, masking funnel, flipped-bit
 histogram) are pure functions of the :class:`~repro.core.results.SampleRecord`
-stream, so they can be recorded live by the engine **or** recomputed from a
-persisted chunk log (:func:`metrics_from_records`) — which is how a resumed
-campaign reconstructs bit-identical merged metrics for chunks that ran
-before the crash, and how chunk results from uninstrumented engines (test
-stubs, old logs) still contribute.
+stream, and :func:`metrics_from_records` is their one producer: the engine
+calls it once per batch, and a resumed campaign calls it on a persisted
+chunk log — which is how it reconstructs bit-identical merged metrics for
+chunks that ran before the crash, and how chunk results from
+uninstrumented engines (test stubs, old logs) still contribute.
 
 The *wall-clock* metrics (stage/sample seconds, slowest-sample top-k) only
 exist when the engine observes live; they are flagged non-deterministic
@@ -47,7 +47,9 @@ interrupted and resumed, still compare equal on
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import heapq
+import operator
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.results import OutcomeCategory, SampleRecord
 from repro.obs.metrics import (
@@ -83,78 +85,14 @@ STAGES: Tuple[str, ...] = (
 
 SLOWEST_SAMPLES_K = 10
 
+_OUT_OF_RANGE = OutcomeCategory.OUT_OF_RANGE
+_MEMORY_ONLY = OutcomeCategory.MEMORY_ONLY
+_NEEDS_RTL = OutcomeCategory.NEEDS_RTL
+
 #: Edges for per-dispatch batch sizes (integer-valued observations).
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
     1.5, 2.5, 4.5, 8.5, 16.5, 32.5, 64.5, 128.5, 256.5,
 )
-
-
-def observe_record(registry: MetricsRegistry, record: SampleRecord) -> None:
-    """Record the deterministic metrics of one sample outcome."""
-    registry.counter("engine_samples_total").inc()
-    registry.counter(
-        "engine_outcomes_total", category=record.category.value
-    ).inc()
-    if record.e:
-        registry.counter("engine_success_total").inc()
-    if record.n_pulses_injected:
-        registry.counter("engine_pulses_injected_total").inc(
-            record.n_pulses_injected
-        )
-    if record.n_pulses_latched:
-        registry.counter("engine_pulses_latched_total").inc(
-            record.n_pulses_latched
-        )
-    if record.analytical:
-        registry.counter("engine_analytical_evals_total").inc()
-    elif record.category is OutcomeCategory.NEEDS_RTL or (
-        record.category is OutcomeCategory.MEMORY_ONLY and not record.analytical
-    ):
-        registry.counter("engine_rtl_resumes_total").inc()
-
-    funnel = registry.counter
-    funnel("engine_funnel_total", stage="sampled").inc()
-    if record.category is OutcomeCategory.OUT_OF_RANGE:
-        return
-    funnel("engine_funnel_total", stage="in_window").inc()
-    if record.n_pulses_injected:
-        funnel("engine_funnel_total", stage="injected").inc()
-    if record.flipped_bits:
-        funnel("engine_funnel_total", stage="latched").inc()
-        registry.histogram(
-            "engine_flipped_bits", BIT_COUNT_BUCKETS
-        ).observe(len(record.flipped_bits))
-    if record.category is OutcomeCategory.MEMORY_ONLY:
-        funnel("engine_funnel_total", stage="memory_only").inc()
-    elif record.category is OutcomeCategory.NEEDS_RTL:
-        funnel("engine_funnel_total", stage="needs_rtl").inc()
-    if record.e:
-        funnel("engine_funnel_total", stage="success").inc()
-
-
-def observe_timing(
-    registry: MetricsRegistry,
-    record: SampleRecord,
-    stage_totals: Dict[str, float],
-    sample_seconds: float,
-) -> None:
-    """Record the wall-clock metrics of one observed sample."""
-    for stage, seconds in stage_totals.items():
-        registry.histogram(
-            "engine_stage_seconds", SECONDS_BUCKETS, stage=stage
-        ).observe(seconds)
-    registry.histogram("engine_sample_seconds", SECONDS_BUCKETS).observe(
-        sample_seconds
-    )
-    registry.topk(
-        "engine_slowest_samples", k=SLOWEST_SAMPLES_K, deterministic=False
-    ).offer(
-        sample_seconds,
-        t=record.sample.t,
-        centre=record.sample.centre,
-        radius_um=record.sample.radius_um,
-        category=record.category.value,
-    )
 
 
 def observe_batch(
@@ -232,25 +170,35 @@ def observe_baseline_store(
         ).set(hit_counter.value / total)
 
 
-def observe_batched_sample(
-    registry: MetricsRegistry, record: SampleRecord, seconds: float
+def observe_slowest_samples(
+    registry: MetricsRegistry, timings: Iterable[Tuple[float, SampleRecord]]
 ) -> None:
-    """Offer one batched sample's per-sample wall time to the top-k.
+    """Offer one batch's slowest diverged samples to the top-k.
 
+    ``timings`` pairs each diverged sample's wall time with its record.
     In the batched regime the draw/restart/transient stages are amortized
     (see :func:`observe_batch_timing`); the classify/resume tail is the
     only genuinely per-sample cost — and it is what makes a sample slow —
-    so it is what the slowest-samples table ranks on.
+    so it is what the slowest-samples table ranks on.  Only the batch's
+    ``SLOWEST_SAMPLES_K`` slowest can enter the table, so only they are
+    offered.
     """
-    registry.topk(
-        "engine_slowest_samples", k=SLOWEST_SAMPLES_K, deterministic=False
-    ).offer(
-        seconds,
-        t=record.sample.t,
-        centre=record.sample.centre,
-        radius_um=record.sample.radius_um,
-        category=record.category.value,
+    slowest = heapq.nlargest(
+        SLOWEST_SAMPLES_K, timings, key=operator.itemgetter(0)
     )
+    if not slowest:
+        return
+    top = registry.topk(
+        "engine_slowest_samples", k=SLOWEST_SAMPLES_K, deterministic=False
+    )
+    for seconds, record in slowest:
+        top.offer(
+            seconds,
+            t=record.sample.t,
+            centre=record.sample.centre,
+            radius_um=record.sample.radius_um,
+            category=record.category.value,
+        )
 
 
 def observe_batch_timing(
@@ -283,12 +231,66 @@ def metrics_from_records(
     records: Iterable[SampleRecord],
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
-    """Rebuild the deterministic engine metrics from a record stream.
+    """Record the deterministic engine metrics of a record stream.
 
-    The replay/fallback path: identical to what a live instrumented engine
-    would have recorded, minus wall-clock metrics.
+    The one producer of those metrics: the engine calls it once per
+    batch, and a resumed campaign rebuilds a logged chunk's metrics with
+    it.  One pass tallies the records, then each collector is updated
+    once; a collector whose tally is zero is not created.
     """
     registry = registry if registry is not None else MetricsRegistry()
+    n_samples = n_success = n_analytical = n_resumes = 0
+    pulses_injected = pulses_latched = 0
+    categories: Dict[OutcomeCategory, int] = {}
+    funnel = dict.fromkeys(FUNNEL_STAGES, 0)
+    flipped_bits: Dict[int, int] = {}
     for record in records:
-        observe_record(registry, record)
+        category = record.category
+        n_samples += 1
+        categories[category] = categories.get(category, 0) + 1
+        if record.e:
+            n_success += 1
+        pulses_injected += record.n_pulses_injected
+        pulses_latched += record.n_pulses_latched
+        if record.analytical:
+            n_analytical += 1
+        elif category is _NEEDS_RTL or category is _MEMORY_ONLY:
+            n_resumes += 1
+        if category is _OUT_OF_RANGE:
+            continue
+        funnel["in_window"] += 1
+        if record.n_pulses_injected:
+            funnel["injected"] += 1
+        if record.flipped_bits:
+            funnel["latched"] += 1
+            n_bits = len(record.flipped_bits)
+            flipped_bits[n_bits] = flipped_bits.get(n_bits, 0) + 1
+        if category is _MEMORY_ONLY:
+            funnel["memory_only"] += 1
+        elif category is _NEEDS_RTL:
+            funnel["needs_rtl"] += 1
+        if record.e:
+            funnel["success"] += 1
+    funnel["sampled"] = n_samples
+
+    counter = registry.counter
+    for name, total in (
+        ("engine_samples_total", n_samples),
+        ("engine_success_total", n_success),
+        ("engine_pulses_injected_total", pulses_injected),
+        ("engine_pulses_latched_total", pulses_latched),
+        ("engine_analytical_evals_total", n_analytical),
+        ("engine_rtl_resumes_total", n_resumes),
+    ):
+        if total:
+            counter(name).inc(total)
+    for category, total in categories.items():
+        counter("engine_outcomes_total", category=category.value).inc(total)
+    for stage, total in funnel.items():
+        if total:
+            counter("engine_funnel_total", stage=stage).inc(total)
+    if flipped_bits:
+        histogram = registry.histogram("engine_flipped_bits", BIT_COUNT_BUCKETS)
+        for n_bits, total in flipped_bits.items():
+            histogram.observe(n_bits, total)
     return registry

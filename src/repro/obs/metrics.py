@@ -123,7 +123,8 @@ class Histogram(_Metric):
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value``, ``count`` times over."""
         lo, hi = 0, len(self.edges)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -131,9 +132,9 @@ class Histogram(_Metric):
                 hi = mid
             else:
                 lo = mid + 1
-        self.counts[lo] += 1
-        self.sum += value
-        self.count += 1
+        self.counts[lo] += count
+        self.sum += value * count
+        self.count += count
 
     @property
     def mean(self) -> float:

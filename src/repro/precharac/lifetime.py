@@ -16,13 +16,17 @@ small effective ``T`` range (paper, Observation 3).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CharacterizationError
 from repro.rtl.simulator import RtlSimulator
+from repro.soc.mpu import MpuBehavioral, MpuInputs
+from repro.soc.soc import Soc
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -88,19 +92,52 @@ def run_lifetime_campaign(
     ``device`` must already have its program loaded.  ``injection_window``
     bounds the injection cycles (defaults to the middle half of the run, so
     boot configuration is done and the horizon fits).
+
+    One golden run records the checkpoints, every register value per
+    cycle and, on an :class:`~repro.soc.soc.Soc`, the MPU's inputs and
+    outputs per cycle.  A trial that flips an MPU bit then runs in
+    lockstep: a standalone :class:`~repro.soc.mpu.MpuBehavioral` steps
+    on the golden inputs, and only the MPU registers are diffed.  This is
+    exact: the MPU reaches the core, bus and DMA only through its
+    outputs, so while those equal golden's every other register and the
+    RAM stay golden, and so do the MPU's inputs.  On the first cycle whose
+    outputs differ the trial escapes to the whole SoC: restart there from
+    the golden checkpoint, write the faulty MPU registers back and diff
+    every register from then on.  Any other trial starts escaped.
     """
     if n_cycles <= horizon + 10:
         raise CharacterizationError("run too short for the requested horizon")
     sim = RtlSimulator(device)
-    golden = sim.golden_run(n_cycles, checkpoint_interval, collect_traces=False)
-
-    # Golden register state per cycle, for diff tracking.
-    golden_states: List[Dict[str, int]] = []
-    sim.reset()
-    for _ in range(n_cycles):
-        golden_states.append(device.get_registers())
-        sim.step()
-    golden_states.append(device.get_registers())
+    lockstep = isinstance(device, Soc)
+    mpu_names: Tuple[str, ...] = ()
+    if lockstep:
+        mpu_names = tuple(device.mpu_register_names())
+        sim.add_probe("mpu_outputs", lambda soc, _cycle: soc.mpu.outputs())
+        recording = device.record_mpu_trace
+        device.record_mpu_trace = True  # the golden MPU inputs per cycle
+    specs = device.register_specs()
+    mpu_widths = {name: specs[name].width for name in mpu_names}
+    # MPU registers first, so an MPU state is a prefix of a device state.
+    names = mpu_names + tuple(name for name in specs if name not in mpu_names)
+    state_of = _values_getter(names)
+    sim.add_probe("state", lambda dev, _cycle: state_of(dev.get_registers()))
+    golden = sim.golden_run(n_cycles, checkpoint_interval)
+    # Golden register values per cycle, as tuples in ``names`` order.
+    history = golden.traces["state"] + [state_of(golden.final.registers)]
+    if lockstep:
+        device.record_mpu_trace = recording
+        stimuli: Dict[tuple, MpuInputs] = {}
+        golden_inputs = [
+            stimuli.setdefault(
+                tuple(entry.inputs.values()), MpuInputs(**entry.inputs)
+            )
+            for entry in device.mpu_trace
+        ]
+        device.mpu_trace = []
+        golden_outputs = golden.traces["mpu_outputs"]
+        faulty = MpuBehavioral(device.memmap, device.mpu_variant)
+        mpu_state_of = _values_getter(mpu_names)
+    n_mpu = len(mpu_names)
 
     rng = as_generator(seed)
     lo, hi = injection_window or (n_cycles // 4, max(n_cycles // 4 + 1, n_cycles - horizon - 5))
@@ -109,32 +146,45 @@ def run_lifetime_campaign(
 
     campaign = LifetimeCampaign(horizon=horizon)
     for register, bit in target_bits:
+        in_mpu = 0 <= bit < mpu_widths.get(register, 0)
         lifetimes: List[float] = []
         contaminations: List[float] = []
         masked_any = False
         for _trial in range(n_trials):
             inject_cycle = int(rng.integers(lo, hi))
-            sim.restart_from(golden, inject_cycle)
-            device.flip_register_bit(register, bit)
+            escaped = not (in_mpu and 0 <= inject_cycle <= n_cycles)
+            if escaped:
+                sim.restart_from(golden, inject_cycle)
+                device.flip_register_bit(register, bit)
+            else:
+                faulty.regs = dict(zip(mpu_names, history[inject_cycle]))
+                faulty.regs[register] ^= 1 << bit
             touched: set = set()
             lifetime = horizon
             for offset in range(1, horizon + 1):
-                sim.step()
                 cycle = inject_cycle + offset
                 if cycle > n_cycles:
                     break
-                current = device.get_registers()
-                reference = golden_states[cycle]
-                diff = [
-                    name
-                    for name, value in current.items()
-                    if value != reference[name]
-                ]
-                touched.update(name for name in diff if name != register)
-                if not diff:
+                if not escaped and faulty.outputs() != golden_outputs[cycle - 1]:
+                    sim.restart_from(golden, cycle - 1)
+                    device.set_registers(faulty.regs)
+                    escaped = True
+                if escaped:
+                    sim.step()
+                    current = state_of(device.get_registers())
+                    reference = history[cycle]
+                else:
+                    faulty.step(golden_inputs[cycle - 1])
+                    current = mpu_state_of(faulty.regs)
+                    reference = history[cycle][:n_mpu]
+                if current == reference:
                     lifetime = offset
                     masked_any = True
                     break
+                touched.update(
+                    compress(names, map(operator.ne, current, reference))
+                )
+            touched.discard(register)
             lifetimes.append(float(lifetime))
             contaminations.append(float(len(touched)))
         campaign.results[(register, bit)] = RegisterCharacter(
@@ -146,3 +196,11 @@ def run_lifetime_campaign(
             trials=n_trials,
         )
     return campaign
+
+
+def _values_getter(names: Sequence[str]) -> Callable[[Dict[str, int]], tuple]:
+    """``regs -> tuple`` of the values of ``names``, in that order."""
+    if len(names) == 1:
+        (name,) = names
+        return lambda regs: (regs[name],)
+    return operator.itemgetter(*names)

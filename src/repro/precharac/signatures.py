@@ -17,13 +17,16 @@ shows at the Q pin ``i + 1`` cycles later, a frame-``i`` register toggle
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import CharacterizationError
 from repro.gatesim.logic import LogicEvaluator, signatures_from_values
 from repro.netlist.cones import UnrolledCones
 from repro.netlist.graph import Netlist
-from repro.utils.bitvec import BitSequence
+from repro.utils.bitvec import _POPCOUNT8, BitSequence
 
 
 @dataclass
@@ -72,36 +75,59 @@ def correlate_cones(
 ) -> Dict[Tuple[int, int], float]:
     """``Corr_i`` for every cone node against every responding signal.
 
-    Only a few distinct shifts occur (one per frame and node kind), so each
-    responding signal's ``ss(rs) << shift`` is built once per shift, and
-    each node's ``|ss(g)|`` once, however many frames the node sits in.
+    The words of every cone node that ever toggles are stacked into one
+    ``uint64`` matrix, once.  Only a few distinct shifts occur (one per
+    frame and node kind), so each shift takes one numpy pass: the rows of
+    the (node, frame) entries that use it are ANDed with every responding
+    signal's ``ss(rs) << shift`` and popcounted together.  ``int64``
+    counts over ``int64`` weights divide exactly as Python's ``int / int``
+    does at these magnitudes.  Entries keep the cone's (frame, node) order.
     """
-    out: Dict[Tuple[int, int], float] = {}
-    rs_signatures = {rs: signatures[rs] for rs in responding}
-    aligned: Dict[int, List[BitSequence]] = {}
-    weights: Dict[int, int] = {}
+    rs_signatures = [signatures[rs] for rs in dict.fromkeys(responding)]
+    rows: Dict[int, int] = {}
+    words: List[np.ndarray] = []
+    weights: List[int] = []
+    # One entry per (node, frame) with a toggling node, in cone order.
+    nids: List[int] = []
+    frames: List[int] = []
+    entry_rows: List[int] = []
+    entry_shifts: List[int] = []
     for frame, nodes in cones.fanin.items():
         for nid in nodes:
-            sig = signatures.get(nid)
-            if sig is None:
+            row = rows.get(nid)
+            if row is None:
+                sig = signatures.get(nid)
+                weight = sig.popcount() if sig is not None else 0
+                row = rows[nid] = len(words) if weight else -1
+                if weight:
+                    words.append(sig.words)
+                    weights.append(weight)
+            if row < 0:
                 continue
-            weight = weights.get(nid)
-            if weight is None:
-                weight = weights[nid] = sig.popcount()
-            if weight == 0:
-                continue
-            shift = frame if netlist.node(nid).is_dff else frame + 1
-            rs_aligned = aligned.get(shift)
-            if rs_aligned is None:
-                rs_aligned = aligned[shift] = [
-                    rs_sig.shift_left(shift) for rs_sig in rs_signatures.values()
-                ]
-            best = 0.0
-            for rs_sig in rs_aligned:
-                best = max(best, (sig & rs_sig).popcount() / weight)
-            if best > 0.0:
-                out[(nid, frame)] = best
-    return out
+            nids.append(nid)
+            frames.append(frame)
+            entry_rows.append(row)
+            entry_shifts.append(frame if netlist.node(nid).is_dff else frame + 1)
+    if not nids:
+        return {}
+
+    node_words = np.stack(words)
+    node_weights = np.array(weights, dtype=np.int64)
+    row_index = np.array(entry_rows, dtype=np.intp)
+    shift_of = np.array(entry_shifts, dtype=np.int64)
+    best = np.empty(len(nids), dtype=np.float64)
+    for shift in dict.fromkeys(entry_shifts):
+        picked = np.flatnonzero(shift_of == shift)
+        picked_rows = row_index[picked]
+        aligned = np.stack([sig.shift_left(shift).words for sig in rs_signatures])
+        both = node_words[picked_rows, None, :] & aligned[None, :, :]
+        counts = _POPCOUNT8[both.view(np.uint8)].reshape(
+            len(picked), len(rs_signatures), -1
+        ).sum(axis=2, dtype=np.int64)
+        best[picked] = (counts / node_weights[picked_rows, None]).max(axis=1)
+    kept = best > 0.0
+    keys = compress(zip(nids, frames), kept.tolist())
+    return dict(zip(keys, best[kept].tolist()))
 
 
 def analyze_signatures(

@@ -182,8 +182,10 @@ class JobQueue:
     """Thread-safe priority queue of queued jobs.
 
     Cancellation is lazy: a job cancelled while queued stays in the heap
-    but is skipped at pop time (its state is no longer ``queued``), so
-    cancel never races a concurrent pop.
+    but is skipped at pop time (its state is no longer ``queued``).  A
+    popped job is still ``queued`` until its worker marks it ``running``,
+    so a cancel can land in between; the worker's queued → running
+    transition is a check-and-set that leaves such a job cancelled.
     """
 
     def __init__(self):

@@ -454,11 +454,20 @@ class EvaluationService:
         return spec
 
     def _execute(self, job: Job) -> None:
-        self._update(job, state=STATE_RUNNING)
+        # ``queue.pop`` hands out a job that is still ``queued``, so a
+        # cancel may land before this transition; it must win.
+        with self._lock:
+            if job.state != STATE_QUEUED:
+                return
+            self._update(job, state=STATE_RUNNING)
         try:
             spec = CampaignSpec.from_dict(job.spec)
+            engine = sampler = scheduler = None
             if self.fleet is None and self.engine_factory is None:
                 spec = self._with_cached_artifacts(spec)
+                # Build before the run directory exists: a build that
+                # fails must not leave a run behind that reads ``running``.
+                engine, sampler = spec.build_runtime()
             run_path = self.runs_dir / job.run_id
             resume = (run_path / SPEC_FILE).exists()
             if resume:
@@ -471,7 +480,6 @@ class EvaluationService:
                 store = RunStore(run_path)
             else:
                 store = RunStore.create(self.runs_dir, spec, run_id=job.run_id)
-            engine = sampler = scheduler = None
             if self.fleet is not None:
                 # Fleet dispatch: chunks are evaluated by remote workers,
                 # so the coordinator never builds the (expensive) real

@@ -35,7 +35,7 @@ from repro.attack.spec import AttackSample
 from repro.core.engine import CrossLevelEngine
 from repro.core.results import CampaignResult, OutcomeCategory, SampleRecord
 from repro.errors import EvaluationError
-from repro.obs.engine_metrics import observe_record
+from repro.obs.engine_metrics import metrics_from_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.surrogate_metrics import (
     observe_stage,
@@ -329,7 +329,7 @@ def _evaluate_loop(
         stage_counts[engine.last_stage] += 1
         n_hits += 1 if record.e else 0
         if registry is not None:
-            observe_record(registry, record)
+            metrics_from_records((record,), registry)
             observe_stage(registry, engine.last_stage)
         estimator.push(record.sample, record.e)
         records.append(record)

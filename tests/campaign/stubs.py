@@ -64,20 +64,20 @@ class BernoulliEngine:
 class InstrumentedEngine(BernoulliEngine):
     """Bernoulli engine that ships a per-chunk metrics snapshot, like the
     real engine with ``observe=True``: deterministic outcome metrics from
-    the records plus (non-deterministic) synthetic stage timings."""
+    the records plus (non-deterministic) synthetic per-batch timings."""
 
     def evaluate(self, sampler, n_samples, seed=None, progress=None):
-        from repro.obs import MetricsRegistry, observe_record, observe_timing
+        from repro.obs import MetricsRegistry, metrics_from_records
+        from repro.obs.engine_metrics import observe_batch_timing
 
         result = super().evaluate(sampler, n_samples, seed=seed)
         registry = MetricsRegistry()
-        for record in result.records:
-            observe_record(registry, record)
-            observe_timing(
-                registry,
-                record,
-                {"restart": 5e-4, "transient": 2e-3},
-                2.5e-3,
-            )
+        observe_batch_timing(
+            registry,
+            {"restart": 5e-4 * n_samples, "transient": 2e-3 * n_samples},
+            2.5e-3 * n_samples,
+            n_samples,
+        )
+        metrics_from_records(result.records, registry)
         result.metrics = registry.snapshot()
         return result

@@ -5,13 +5,16 @@ import pytest
 
 from repro.attack.spec import AttackSample
 from repro.core.results import OutcomeCategory, SampleRecord
+from repro.obs.engine_metrics import (
+    observe_batch_timing,
+    observe_slowest_samples,
+)
 from repro.obs import (
     FUNNEL_STAGES,
     MetricsRegistry,
     load_metrics_jsonl,
     masking_funnel,
     metrics_from_records,
-    observe_timing,
     outcome_rates,
     render_report,
     slowest_samples,
@@ -43,14 +46,15 @@ RECORDS = [
 
 
 def snapshot_with_timings():
+    """The metrics the engine writes for one batch of ``RECORDS``."""
     registry = metrics_from_records(RECORDS)
-    for i, record in enumerate(RECORDS):
-        observe_timing(
-            registry,
-            record,
-            {"restart": 1e-3, "transient": 4e-3},
-            5e-3 + i * 1e-3,
-        )
+    observe_batch_timing(
+        registry, {"restart": 1e-3, "transient": 4e-3}, 2e-2, len(RECORDS)
+    )
+    observe_slowest_samples(
+        registry,
+        [(5e-3 + i * 1e-3, record) for i, record in enumerate(RECORDS)],
+    )
     return registry.snapshot()
 
 

@@ -192,6 +192,19 @@ class TestCancel:
         finally:
             service.stop(cancel_running=True)
 
+    def test_cancel_between_pop_and_execute_wins(self, tmp_path):
+        """A popped job is still ``queued`` until its worker marks it
+        ``running``; a cancel that lands in between must stick, and the
+        worker must not start the campaign."""
+        service = make_service(tmp_path)  # no workers: drive one by hand
+        job, _ = service.submit(SPEC)
+        assert service.queue.pop(timeout=0) is job
+        assert service.cancel(job.job_id).state == STATE_CANCELLED
+        service._execute(job)
+        assert service.get_job(job.job_id).state == STATE_CANCELLED
+        assert not (service.runs_dir / job.run_id).exists()
+        service.stop(wait=False)
+
     def test_cancel_terminal_job_is_noop(self, tmp_path):
         service = make_service(tmp_path)
         service.start()

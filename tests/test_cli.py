@@ -190,6 +190,18 @@ class TestCliErrorHandling:
             assert last.startswith("error:")
             assert missing in last
 
+    def test_failed_build_leaves_no_run_behind(self, capsys, tmp_path):
+        """The runtime is built before the run directory exists, so a
+        build that fails leaves no run that reads ``running`` forever."""
+        runs = tmp_path / "runs"
+        code = main([
+            "campaign", "run", "--charac-cache", str(tmp_path / "none.json"),
+            "--runs-dir", str(runs), "--run-id", "ghost", "-n", "20",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.strip().startswith("error:")
+        assert not (runs / "ghost").exists()
+
     def test_unreachable_service_is_clean(self, capsys):
         code = main(
             ["status", "job1", "--url", "http://127.0.0.1:1"]
