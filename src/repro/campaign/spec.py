@@ -21,18 +21,18 @@ from repro.errors import EvaluationError
 #: Stopping modes understood by :func:`repro.campaign.stopping.build_stopping_rule`.
 STOPPING_MODES = ("fixed", "risk", "ci")
 
-#: Evaluation backends (mirrors ``repro.core.engine.ENGINE_VARIANTS``).
-ENGINES = ("exact", "surrogate")
-
-#: Fidelity modes: single-engine, or surrogate screen + exact confirm.
-FIDELITIES = ("single", "two_stage")
-
 #: Retired spec fields that :meth:`CampaignSpec.from_dict` still accepts
 #: and drops, so run directories, job stores and sweep documents written
 #: before their removal keep loading.  ``batch`` selected the batched or
 #: the scalar engine loop, which gave bit-identical records; one loop is
-#: left.
-LEGACY_FIELDS = ("batch",)
+#: left.  ``engine``, ``fidelity`` and ``calibration`` selected and fed
+#: the SEU surrogate, which is gone: ``engine`` and ``fidelity`` load only
+#: at their exact-engine values (:data:`RETIRED_VALUES`), and any
+#: ``calibration`` path is dropped, since the exact engine never read it.
+LEGACY_FIELDS = ("batch", "engine", "fidelity", "calibration")
+
+#: The one value each retired backend selector may still carry.
+RETIRED_VALUES = {"engine": "exact", "fidelity": "single"}
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,7 @@ class CampaignSpec:
     impact_cycles: int = 1            # consecutive disturbed cycles
     seed: int = 2024                  # root seed of the per-chunk seed tree
     chunk_size: int = 50              # samples per work-stealing chunk
-    engine: str = "exact"             # evaluation backend: exact | surrogate
-    fidelity: str = "single"          # single | two_stage (screen + confirm)
     charac_cache: Optional[str] = None  # pre-characterization JSON to reuse
-    calibration: Optional[str] = None   # surrogate calibration artifact to reuse
     trace: bool = False               # record spans → runs/<id>/trace.json
     telemetry: bool = True            # fleet workers ship spans/metrics/logs
     baseline_store: Optional[str] = None  # ArtifactStore root for cycle baselines
@@ -103,26 +100,6 @@ class CampaignSpec:
             raise EvaluationError("chunk_size must be positive")
         if self.sampler not in ("random", "cone", "importance"):
             raise EvaluationError(f"unknown sampler {self.sampler!r}")
-        if self.engine not in ENGINES:
-            raise EvaluationError(
-                f"unknown engine variant {self.engine!r}: valid variants "
-                f"are {', '.join(ENGINES)}"
-            )
-        if self.fidelity not in FIDELITIES:
-            raise EvaluationError(
-                f"unknown fidelity {self.fidelity!r}: valid modes are "
-                f"{', '.join(FIDELITIES)}"
-            )
-        if self.fidelity == "two_stage" and self.engine != "surrogate":
-            raise EvaluationError(
-                "fidelity 'two_stage' uses the surrogate as the screening "
-                "stage; set engine='surrogate'"
-            )
-        if self.engine == "surrogate" and self.impact_cycles != 1:
-            raise EvaluationError(
-                "the surrogate engine models single-cycle injections; "
-                "impact_cycles must be 1"
-            )
 
     # ------------------------------------------------------------------
     # serialization
@@ -135,6 +112,13 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
         data = dict(data)
+        for key, value in RETIRED_VALUES.items():
+            if data.get(key, value) != value:
+                raise EvaluationError(
+                    f"{key} {data[key]!r} is not supported: the SEU "
+                    f"surrogate engine was removed and only the exact "
+                    f"engine is left (drop the {key!r} field)"
+                )
         for key in LEGACY_FIELDS:
             data.pop(key, None)
         stopping = data.pop("stopping", {})
@@ -174,7 +158,7 @@ class CampaignSpec:
         """
         from repro import default_attack_spec
         from repro.core.context import build_cached_context
-        from repro.core.engine import CrossLevelEngine, EngineConfig
+        from repro.core.engine import CrossLevelEngine
         from repro.sampling import (
             FaninConeSampler,
             ImportanceSampler,
@@ -210,7 +194,6 @@ class CampaignSpec:
         engine = CrossLevelEngine(
             context,
             attack,
-            config=EngineConfig(engine=self.engine),
             baseline_store=self._build_baseline_store(context),
         )
         engine.warm_baseline_cache()
@@ -223,9 +206,6 @@ class CampaignSpec:
             sampler = ImportanceSampler(
                 attack, context.characterization, placement=context.placement
             )
-
-        if self.engine == "surrogate":
-            engine = self._wrap_surrogate(engine, sampler, context)
         return engine, sampler
 
     def _build_baseline_store(self, context):
@@ -249,37 +229,19 @@ class CampaignSpec:
             netlist=context.netlist,
         )
 
-    def _wrap_surrogate(self, engine, sampler, context):
-        """Wrap the exact engine per ``engine``/``fidelity``.
-
-        A calibration artifact named by ``calibration`` is loaded when it
-        exists and written there otherwise; with no path the model is
-        fitted in-process, seeded from the campaign seed (the calibration
-        seed tree is namespaced away from the chunk streams, so the fit
-        never perturbs campaign sampling).
-        """
-        from repro.surrogate import build_surrogate_engine
-
-        return build_surrogate_engine(
-            engine,
-            sampler,
-            fidelity=self.fidelity,
-            calibration=self.calibration,
-            seed=self.seed,
-        )
-
 
 def load_spec(path: Union[str, pathlib.Path]) -> CampaignSpec:
     """Read a :class:`CampaignSpec` from a JSON file.
 
-    A missing or corrupt file raises :class:`EvaluationError` naming the
+    A missing, corrupt or invalid file (one selecting the removed
+    surrogate engine, say) raises :class:`EvaluationError` naming the
     path, so CLI and service callers surface an actionable message
     instead of a raw traceback.
     """
     path = pathlib.Path(path)
     try:
         return CampaignSpec.from_json(path.read_text())
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError, EvaluationError) as exc:
         raise EvaluationError(
             f"cannot load campaign spec {path}: {exc}"
         ) from exc

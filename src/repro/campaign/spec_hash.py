@@ -18,21 +18,23 @@ Canonicalization rules (pinned by golden-hash tests):
   are *excluded*: ``trace`` (span recording), ``charac_cache`` (a
   memoized pre-characterization is derived deterministically from the
   benchmark + variant, the path only skips recomputation),
-  ``calibration`` (likewise: the surrogate model is refitted
-  deterministically from the spec seed when the artifact path is
-  absent, so the path only skips the fit), ``telemetry`` (fleet
-  workers' shipped spans/metrics/logs are forced non-deterministic on
-  ingest and can never reach the estimator or the deterministic metric
-  view), and ``baseline_store`` (a loaded cycle baseline is
-  bit-identical to a recomputed one — the store only skips golden
-  re-simulation, and stale entries are rejected by fingerprint);
-* the retired ``batch`` field was excluded too, and
-  :meth:`~repro.campaign.spec.CampaignSpec.from_dict` drops it on load,
-  so a spec that still carries it hashes as it always did;
+  ``telemetry`` (fleet workers' shipped spans/metrics/logs are forced
+  non-deterministic on ingest and can never reach the estimator or the
+  deterministic metric view), and ``baseline_store`` (a loaded cycle
+  baseline is bit-identical to a recomputed one — the store only skips
+  golden re-simulation, and stale entries are rejected by fingerprint);
+* the retired ``batch`` and ``calibration`` fields were excluded too,
+  and :meth:`~repro.campaign.spec.CampaignSpec.from_dict` drops them on
+  load, so a spec that still carries them hashes as it always did;
+* the retired backend selectors ``engine`` and ``fidelity`` were part of
+  the identity (they swapped the exact engine for the SEU surrogate).
+  Only the exact engine is left, so the canonical form writes them as
+  the constants ``"exact"`` and ``"single"``: every hash computed while
+  they were fields keeps matching, and result caches, job stores and
+  sweep hashes need no re-pinning;
 * everything else — including ``seed`` and ``chunk_size``, both of which
   select the per-chunk seed streams and therefore the exact sample
-  sequence, and ``engine``/``fidelity``, which swap the evaluation
-  backend and hence the sampled estimate — is part of the identity.
+  sequence — is part of the identity.
 
 The digest is salted with the package version plus a schema version, so
 a code upgrade that could change results invalidates every cached entry
@@ -44,18 +46,18 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import RETIRED_VALUES, CampaignSpec
 
 #: Bump when canonicalization rules change (invalidates all cached hashes).
 #: v2: ``engine``/``fidelity`` joined the semantic set; ``calibration``
-#: joined the excluded set.
+#: joined the excluded set.  Their removal kept v2: the canonical form
+#: still carries ``engine``/``fidelity`` at their exact-engine values.
 HASH_SCHEMA_VERSION = 2
 
 #: Spec fields that cannot affect the campaign's estimate.
 NON_SEMANTIC_FIELDS = (
     "trace",
     "charac_cache",
-    "calibration",
     "telemetry",
     "baseline_store",
 )
@@ -81,6 +83,10 @@ def canonical_spec_dict(spec: CampaignSpec) -> dict:
     for field in NON_SEMANTIC_FIELDS:
         data.pop(field, None)
     data["variant"] = MpuVariant.parse(data["variant"]).name
+    # The retired ``engine``/``fidelity`` selectors stay in the hashed
+    # form as constants (the exact engine's values), so no hash written
+    # while they were fields moves.
+    data.update(RETIRED_VALUES)
     return data
 
 

@@ -6,8 +6,6 @@ Exposes the main workflows without writing Python::
     python -m repro evaluate --benchmark write --sampler importance -n 1000
     python -m repro characterize --benchmark write --out charac.json
     python -m repro evaluate --benchmark write --charac-cache charac.json
-    python -m repro calibrate --benchmark write -n 400 --out cal.json
-    python -m repro evaluate --engine surrogate --fidelity two-stage --calibration cal.json
     python -m repro harden --benchmark write -n 1500 --coverage 0.95
     python -m repro countermeasures --benchmark write -n 600
     python -m repro campaign run --benchmark write --stop risk --epsilon 0.02
@@ -64,11 +62,6 @@ def _build_context(args):
     )
 
 
-def _normalize_fidelity(text: str) -> str:
-    """Accept the CLI spelling ``two-stage`` for the spec's ``two_stage``."""
-    return text.replace("-", "_")
-
-
 def _make_sampler(name: str, spec, context):
     from repro.sampling import (
         FaninConeSampler,
@@ -123,12 +116,11 @@ def cmd_evaluate(args) -> int:
         stopping=StoppingConfig(n_samples=args.samples),
         chunk_size=max(1, math.ceil(args.samples / (4 * workers))),
     )
-    surrogate = spec.engine == "surrogate"
     print("Building evaluation context...", file=sys.stderr)
     engine, sampler = spec.build_runtime()
     context = engine.context
     print(f"Running {args.samples} samples ({args.sampler})...", file=sys.stderr)
-    if workers > 1 and not surrogate:
+    if workers > 1:
         result = CampaignRunner(
             spec, store=None, engine=engine, sampler=sampler,
             n_workers=workers,
@@ -148,9 +140,6 @@ def cmd_evaluate(args) -> int:
         ["successes", f"{result.n_success}/{result.n_samples}"],
         ["wall time", f"{result.wall_time_s:.1f} s"],
     ]
-    if surrogate:
-        rows.insert(3, ["engine", f"{spec.engine} ({spec.fidelity})"])
-        rows.append(["exact-engine samples", engine.exact_invocations])
     for category, count in result.category_counts().items():
         if count:
             rows.append([f"outcome {category.value}", count])
@@ -173,55 +162,6 @@ def cmd_characterize(args) -> int:
         ["correlation entries", len(ch.signatures.correlations)],
     ]
     print(format_table(["quantity", "value"], rows, title="Pre-characterization"))
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    from repro import default_attack_spec
-    from repro.core.engine import CrossLevelEngine
-    from repro.surrogate import (
-        CalibrationConfig,
-        calibrate,
-        save_surrogate_model,
-    )
-
-    print("Building evaluation context...", file=sys.stderr)
-    context = _build_context(args)
-    spec = default_attack_spec(
-        context, window=args.window, subblock_fraction=args.subblock
-    )
-    engine = CrossLevelEngine(context, spec)
-    sampler = _make_sampler(args.sampler, spec, context)
-    config = CalibrationConfig(
-        n_samples=args.samples,
-        holdout_fraction=args.holdout,
-        cycle_class_width=args.class_width,
-        min_observations=args.min_observations,
-        seed=args.seed,
-    )
-    print(
-        f"Calibrating surrogate on {args.samples} exact samples...",
-        file=sys.stderr,
-    )
-    model, report = calibrate(engine, sampler, config)
-    save_surrogate_model(model, context.netlist, args.out, report=report)
-    if getattr(args, "json", False):
-        print(json.dumps({"out": args.out, **report.to_dict()},
-                         sort_keys=True))
-        return 0
-    rows = [
-        ["output", args.out],
-        ["calibration samples", report.n_samples],
-        ["fit / holdout", f"{report.n_fit} / {report.n_holdout}"],
-        ["fitted cells", report.n_cells],
-        ["holdout coverage", f"{report.holdout_coverage:.3f}"],
-        ["screen FNR", f"{report.fnr:.3f} "
-         f"({report.n_true_positives} holdout hits)"],
-        ["multiplicity KS p", f"{report.multiplicity_ks_p_value:.4f}"],
-        ["category chi2 p", f"{report.category_chi2_p_value:.4f}"],
-    ]
-    print(format_table(["quantity", "value"], rows,
-                       title="Surrogate calibration"))
     return 0
 
 
@@ -364,10 +304,7 @@ def _campaign_spec_from_args(args, stopping=None, chunk_size=None):
         impact_cycles=args.impact_cycles,
         seed=args.seed,
         chunk_size=args.chunk_size if chunk_size is None else chunk_size,
-        engine=getattr(args, "engine", "exact"),
-        fidelity=_normalize_fidelity(getattr(args, "fidelity", "single")),
         charac_cache=args.charac_cache,
-        calibration=getattr(args, "calibration", None),
         trace=getattr(args, "trace", False),
         baseline_store=getattr(args, "baseline_store", None),
         stopping=stopping,
@@ -963,8 +900,6 @@ def cmd_conformance(args) -> int:
         if args.design
         else list(DESIGNS)
     )
-    if getattr(args, "surrogate", False):
-        return _conformance_surrogate(args, designs)
     config = DifferentialConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -1025,70 +960,6 @@ def cmd_conformance(args) -> int:
         print()
     print("conformance:", "PASS" if all_passed else "FAIL")
     return 0 if all_passed else 1
-
-
-def _conformance_surrogate(args, designs) -> int:
-    """``repro conformance --surrogate``: surrogate-vs-exact SSF error."""
-    from repro.conformance import (
-        SurrogateConformanceConfig,
-        SurrogateConformanceReport,
-        run_surrogate_design,
-    )
-    from repro.surrogate import CalibrationConfig
-
-    config = SurrogateConformanceConfig(
-        n_samples=args.surrogate_samples,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        calibration=CalibrationConfig(
-            n_samples=args.calibration_samples, seed=args.seed
-        ),
-    )
-    report = SurrogateConformanceReport()
-    for design in designs:
-        print(
-            f"surrogate conformance: {design.name} "
-            f"({design.description})...",
-            file=sys.stderr,
-        )
-        report.verdicts.append(run_surrogate_design(design, config))
-    payload = report.to_dict()
-    if getattr(args, "report_out", None):
-        import pathlib
-
-        out = pathlib.Path(args.report_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, sort_keys=True, indent=2))
-        print(f"surrogate error report -> {out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if report.passed else 1
-    for v in report.verdicts:
-        rows = [
-            ["exact SSF (enumeration)", f"{v.exact_ssf:.5f}"],
-            ["surrogate SSF", f"{v.surrogate_ssf:.5f}"],
-            ["surrogate |error|",
-             f"{v.surrogate_error:.5f} (bound {v.surrogate_bound:.5f})"],
-            ["two-stage SSF", f"{v.two_stage_ssf:.5f}"],
-            ["two-stage |error|",
-             f"{v.two_stage_error:.5f} (bound {v.two_stage_bound:.5f})"],
-            ["exact-engine samples",
-             f"{v.exact_invocations}/{v.n_samples}"],
-            ["screen FNR", f"{v.fnr:.3f}"],
-            ["holdout coverage", f"{v.holdout_coverage:.3f}"],
-            ["verdict", "PASS" if v.passed else "FAIL"],
-        ]
-        print(
-            format_table(
-                ["quantity", "value"],
-                rows,
-                title=f"Surrogate conformance: {v.design}",
-            )
-        )
-        print()
-    print("surrogate conformance:", "PASS" if report.passed else "FAIL",
-          f"(max |error| {report.max_error:.5f})")
-    return 0 if report.passed else 1
 
 
 def cmd_replay(args) -> int:
@@ -1166,21 +1037,6 @@ def _add_common(parser: argparse.ArgumentParser, with_sampler: bool = True) -> N
         )
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    # --engine takes a free string on purpose: the variant list lives in
-    # repro.core.engine.ENGINE_VARIANTS and an unknown name surfaces as
-    # one `error:` line (exit 2) naming the valid variants.
-    parser.add_argument("--engine", default="exact",
-                        help="evaluation backend: exact | surrogate")
-    parser.add_argument("--fidelity", default="single",
-                        help="single | two-stage (surrogate screens, "
-                        "exact confirms surrogate-positive hits)")
-    parser.add_argument("--calibration", default=None,
-                        help="surrogate calibration artifact from "
-                        "`repro calibrate` (loaded if present, written "
-                        "after an in-process fit otherwise)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1205,29 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="artifact-store root for persistent per-cycle "
                    "baselines (warm-starts repeat evaluations; never "
                    "changes the estimate)")
-    _add_engine_flags(p)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser(
-        "calibrate",
-        help="fit the SEU surrogate model against the exact engine "
-        "and persist it (with a goodness-of-fit report)",
-    )
-    _add_common(p)
-    p.add_argument("--subblock", type=float, default=0.125,
-                   help="spatial subblock fraction of the attack spec")
-    p.add_argument("--holdout", type=float, default=0.2,
-                   help="fraction of the budget held out for GOF + FNR")
-    p.add_argument("--class-width", type=int, default=8,
-                   help="injection cycles per cycle-class bucket")
-    p.add_argument("--min-observations", type=int, default=4,
-                   help="observations below which a cell falls back to "
-                   "the exact engine")
-    p.add_argument("--out", default="calibration.json",
-                   help="artifact path (load with --calibration)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the calibration report as JSON on stdout")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
         "enumerate",
@@ -1295,7 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="artifact-store root for persistent per-cycle "
                     "baselines (warm-starts repeat campaigns; excluded "
                     "from the spec hash)")
-    _add_engine_flags(pr)
     pr.add_argument("--json", action="store_true",
                     help="emit the outcome as one JSON document on stdout")
     pr.set_defaults(func=cmd_campaign_run)
@@ -1352,20 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="risk-target failure probability")
     p.add_argument("--max-samples", type=int, default=20_000,
                    help="hard sample cap per sampler")
-    p.add_argument("--surrogate", action="store_true",
-                   help="check the surrogate family instead: calibrate "
-                   "per design and bound the surrogate-vs-exact SSF "
-                   "error against the exhaustive oracle")
-    p.add_argument("--surrogate-samples", type=int, default=4000,
-                   help="MC budget per surrogate engine variant")
-    p.add_argument("--calibration-samples", type=int, default=600,
-                   help="exact-sample budget of the per-design fit")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="certified |SSF error| bound (plus a z*SE "
-                   "sampling-noise margin)")
-    p.add_argument("--report-out", default=None,
-                   help="also write the surrogate error report JSON "
-                   "to this path (CI artifact)")
     p.add_argument("--seed", type=int, default=7,
                    help="root seed of the differential seed tree")
     p.add_argument("--json", action="store_true",
@@ -1493,7 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", type=int, default=200)
     p.add_argument("--max-samples", type=int, default=100_000)
     p.add_argument("--chunk-size", type=int, default=50)
-    _add_engine_flags(p)
     p.add_argument("--priority", type=int, default=0,
                    help="higher-priority jobs run first")
     p.add_argument("--wait", action="store_true",

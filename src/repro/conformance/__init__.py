@@ -14,11 +14,7 @@ reweighting.  This subsystem turns that claim into an executable gate:
   distribution against its spec;
 * :mod:`repro.conformance.replay` — reconstructs any logged campaign
   sample from the chunk log's seed lineage and re-executes it to a
-  bit-identical outcome record (``repro replay``);
-* :mod:`repro.conformance.surrogate` — calibrates the surrogate engine
-  against each pinpoint design and bounds its SSF error (and the
-  two-stage engine's) against the exhaustive oracle
-  (``repro conformance --surrogate``).
+  bit-identical outcome record (``repro replay``).
 """
 
 from repro.conformance.differential import (
@@ -34,13 +30,6 @@ from repro.conformance.registry import (
     get_design,
 )
 from repro.conformance.replay import ReplayedSample, locate_sample, replay_sample
-from repro.conformance.surrogate import (
-    SurrogateConformanceConfig,
-    SurrogateConformanceReport,
-    SurrogateVerdict,
-    run_surrogate_design,
-    run_surrogate_suite,
-)
 
 __all__ = [
     "DESIGNS",
@@ -49,14 +38,9 @@ __all__ = [
     "DifferentialReport",
     "ReplayedSample",
     "SamplerVerdict",
-    "SurrogateConformanceConfig",
-    "SurrogateConformanceReport",
-    "SurrogateVerdict",
     "design_names",
     "get_design",
     "locate_sample",
     "replay_sample",
     "run_design",
-    "run_surrogate_design",
-    "run_surrogate_suite",
 ]

@@ -64,21 +64,10 @@ from repro.sampling.estimator import SsfEstimator
 from repro.utils.rng import SeedLike, as_generator, sample_seed_sequence
 
 
-#: Evaluation backends an engine variant string may select.
-ENGINE_VARIANTS = ("exact", "surrogate")
-
-
 @dataclass
 class EngineConfig:
     """Engine behaviour knobs."""
 
-    # Which evaluation backend to build: "exact" is the cross-level
-    # gate-accurate engine, "surrogate" the calibrated RTL-level SEU
-    # surrogate (repro.surrogate).  Construction-time selection happens
-    # in CampaignSpec.build_runtime / the CLI; the engine itself only
-    # validates the name so a typo fails with the valid variants listed
-    # instead of a generic downstream error.
-    engine: str = "exact"
     # Use the analytical evaluator when all faulty bits are memory-type.
     analytical_memory_eval: bool = True
     # Max (injection cycle -> baseline/checkpoint) entries kept per engine.
@@ -88,13 +77,6 @@ class EngineConfig:
     # flipped bits), so batches with few distinct flip patterns pay one
     # RTL resume / analytical call per pattern instead of per sample.
     outcome_cache_size: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINE_VARIANTS:
-            raise EvaluationError(
-                f"unknown engine variant {self.engine!r}: valid variants "
-                f"are {', '.join(ENGINE_VARIANTS)}"
-            )
 
 
 class CrossLevelEngine:

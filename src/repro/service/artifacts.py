@@ -3,9 +3,9 @@
 Campaigns pay a startup cost for work that is a pure function of the
 *(design, workload)* pair, independent of the campaign's sampling
 parameters: the pre-characterization (switching signatures, lifetimes,
-cones) and the surrogate calibration model.  The spec hash deliberately
-excludes the artifact *paths* (``charac_cache`` / ``calibration``), so
-two campaigns differing only in seed or stopping rule are distinct
+cones) and the golden per-cycle baselines.  The spec hash deliberately
+excludes the artifact *paths* (``charac_cache`` / ``baseline_store``),
+so two campaigns differing only in seed or stopping rule are distinct
 cache entries for the result cache but share this precomputation.
 
 :class:`ArtifactStore` addresses artifacts by a SHA-256 over the
@@ -27,8 +27,6 @@ from typing import Callable, Tuple, Union
 
 #: Pre-characterization JSON (``repro.precharac.persistence``).
 KIND_PRECHARAC = "precharac"
-#: Surrogate calibration JSON (``repro.surrogate.persistence``).
-KIND_CALIBRATION = "calibration"
 #: Per-cycle golden baseline JSON (``CycleBaselineStore``).
 KIND_BASELINE = "baseline"
 
@@ -123,9 +121,9 @@ def ensure_precharac(
 def netlist_fingerprint(netlist) -> dict:
     """Cheap structural identity of a netlist for artifact validation.
 
-    Node count plus the register manifest — the same discriminator the
-    surrogate persistence layer uses.  Any countermeasure / elaboration
-    change shifts at least one of them, and with it every baseline key.
+    Node count plus the register manifest.  Any countermeasure /
+    elaboration change shifts at least one of them, and with it every
+    baseline key.
     """
     return {
         "n_nodes": len(netlist),
@@ -276,26 +274,4 @@ def baseline_store_for(
         variant=MpuVariant.parse(variant).name,
         fingerprint=netlist_fingerprint(netlist),
         precharac_version=FORMAT_VERSION,
-    )
-
-
-def calibration_path(store: ArtifactStore, spec) -> pathlib.Path:
-    """Deterministic calibration-artifact path for a surrogate spec.
-
-    Key fields are exactly those the in-process fit depends on: the
-    attack geometry plus the campaign seed (the calibration seed tree
-    roots at ``spec.seed``).  ``build_runtime`` fits-and-saves on a
-    miss and loads on a hit, so repeat campaigns skip recalibration.
-    """
-    from repro.soc.mpu import MpuVariant
-
-    return store.path_for(
-        KIND_CALIBRATION,
-        benchmark=spec.benchmark,
-        variant=MpuVariant.parse(spec.variant).name,
-        sampler=spec.sampler,
-        window=spec.window,
-        subblock_fraction=spec.subblock_fraction,
-        impact_cycles=spec.impact_cycles,
-        seed=spec.seed,
     )

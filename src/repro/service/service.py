@@ -52,11 +52,7 @@ from repro.obs.service_metrics import (
     record_submission,
     update_job_gauges,
 )
-from repro.service.artifacts import (
-    ArtifactStore,
-    calibration_path,
-    ensure_precharac,
-)
+from repro.service.artifacts import ArtifactStore, ensure_precharac
 from repro.service.cache import ResultCache, result_payload
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -441,9 +437,6 @@ class EvaluationService:
                 self.artifacts, spec.benchmark, spec.variant
             )
             spec = dataclasses.replace(spec, charac_cache=str(path))
-        if spec.engine == "surrogate" and spec.calibration is None:
-            target = calibration_path(self.artifacts, spec)
-            spec = dataclasses.replace(spec, calibration=str(target))
         if spec.baseline_store is None:
             # Cycle baselines persist in the same content-addressed store,
             # so a restarted service warm-starts repeat campaigns on the

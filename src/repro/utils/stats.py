@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 
 @dataclass
@@ -209,141 +209,6 @@ def chi_square_gof(
     statistic = sum((obs - exp) ** 2 / exp for exp, obs in kept)
     dof = len(kept) - 1
     return Chi2Result(statistic, dof, chi2_sf(statistic, dof), len(kept), n_pooled)
-
-
-def kolmogorov_sf(x: float, terms: int = 100) -> float:
-    """Survival function of the Kolmogorov distribution, Pr[K >= x].
-
-    The asymptotic null distribution of ``sqrt(n) * D_n``:
-    ``Q(x) = 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 x^2)``.  Pure python
-    (the series converges in a handful of terms for any x of interest)
-    so the calibration goodness-of-fit gate needs no ``scipy``.
-    """
-    if x <= 0.0:
-        return 1.0
-    total = 0.0
-    for k in range(1, terms + 1):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return max(0.0, min(1.0, total))
-
-
-@dataclass(frozen=True)
-class KsResult:
-    """Kolmogorov-Smirnov verdict (statistic + asymptotic p-value)."""
-
-    statistic: float
-    p_value: float
-    n: int
-    m: int = 0  # second-sample size (two-sample test only)
-
-
-def ks_1samp(sample: Sequence[float], cdf: Callable[[float], float]) -> KsResult:
-    """One-sample KS test of ``sample`` against a continuous CDF.
-
-    ``D_n = sup_x |F_n(x) - F(x)|`` evaluated at the order statistics;
-    the p-value uses the asymptotic Kolmogorov distribution (standard
-    for n >= ~35, conservative below).
-    """
-    n = len(sample)
-    if n == 0:
-        raise ValueError("sample must be non-empty")
-    ordered = sorted(sample)
-    d = 0.0
-    for i, x in enumerate(ordered):
-        fx = cdf(x)
-        d = max(d, (i + 1) / n - fx, fx - i / n)
-    return KsResult(d, kolmogorov_sf(math.sqrt(n) * d), n)
-
-
-def ks_2samp(a: Sequence[float], b: Sequence[float]) -> KsResult:
-    """Two-sample KS test: max distance between the two empirical CDFs.
-
-    Ties (the common case for the discrete summaries calibration feeds
-    in, e.g. bit multiplicities) are handled by evaluating both ECDFs on
-    the merged support, which makes the statistic exact; the p-value is
-    the usual asymptotic one with effective size ``n*m/(n+m)`` and is
-    conservative under heavy ties.
-    """
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        raise ValueError("both samples must be non-empty")
-    sa, sb = sorted(a), sorted(b)
-    d = 0.0
-    i = j = 0
-    while i < n and j < m:
-        x = min(sa[i], sb[j])
-        while i < n and sa[i] <= x:
-            i += 1
-        while j < m and sb[j] <= x:
-            j += 1
-        d = max(d, abs(i / n - j / m))
-    effective = n * m / (n + m)
-    return KsResult(d, kolmogorov_sf(math.sqrt(effective) * d), n, m)
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """A fitted discrete distribution over hashable outcomes.
-
-    Construction via :meth:`fit` sorts outcomes (by repr, so mixed key
-    types stay comparable) to make the quantile function — and hence any
-    seeded draw sequence — independent of input observation order.
-    ``quantile`` maps a uniform [0, 1) variate to an outcome via the
-    inverse CDF, so callers keep ownership of their randomness source.
-    """
-
-    outcomes: Tuple[Hashable, ...]
-    probs: Tuple[float, ...]
-
-    @classmethod
-    def fit(cls, observations: Sequence[Hashable]) -> "EmpiricalDistribution":
-        if not observations:
-            raise ValueError("cannot fit an empirical distribution to nothing")
-        counts: Dict[Hashable, int] = {}
-        for obs in observations:
-            counts[obs] = counts.get(obs, 0) + 1
-        ordered = sorted(counts.items(), key=lambda kv: repr(kv[0]))
-        total = len(observations)
-        return cls(
-            outcomes=tuple(k for k, _ in ordered),
-            probs=tuple(c / total for _, c in ordered),
-        )
-
-    @classmethod
-    def from_counts(
-        cls, counts: Dict[Hashable, int]
-    ) -> "EmpiricalDistribution":
-        total = sum(counts.values())
-        if total <= 0:
-            raise ValueError("counts must sum to a positive total")
-        ordered = sorted(counts.items(), key=lambda kv: repr(kv[0]))
-        return cls(
-            outcomes=tuple(k for k, _ in ordered),
-            probs=tuple(c / total for _, c in ordered),
-        )
-
-    def pmf(self, outcome: Hashable) -> float:
-        try:
-            return self.probs[self.outcomes.index(outcome)]
-        except ValueError:
-            return 0.0
-
-    def quantile(self, u: float) -> Hashable:
-        """Inverse-CDF draw: the outcome at cumulative mass ``u``."""
-        if not 0.0 <= u < 1.0:
-            raise ValueError("u must lie in [0, 1)")
-        acc = 0.0
-        for outcome, p in zip(self.outcomes, self.probs):
-            acc += p
-            if u < acc:
-                return outcome
-        return self.outcomes[-1]  # guard against float round-off
-
-    def as_dict(self) -> Dict[Hashable, float]:
-        return dict(zip(self.outcomes, self.probs))
 
 
 def samples_for_risk(variance: float, epsilon: float, delta: float) -> int:

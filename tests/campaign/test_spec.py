@@ -53,12 +53,31 @@ class TestCampaignSpec:
         with pytest.raises(EvaluationError):
             load_spec(path)
 
-    def test_legacy_batch_key_is_dropped(self):
-        """``batch`` was retired with the scalar engine loop; specs that
-        still carry it load as if it were absent."""
-        for value in (True, False):
-            data = {**CampaignSpec(seed=4).to_dict(), "batch": value}
-            assert CampaignSpec.from_dict(data) == CampaignSpec(seed=4)
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("batch", True),
+            ("batch", False),
+            ("engine", "exact"),
+            ("fidelity", "single"),
+            ("calibration", None),
+            ("calibration", "/x/cal.json"),
+        ],
+    )
+    def test_legacy_key_is_dropped(self, key, value):
+        """Retired fields load as if absent: ``batch`` went with the
+        scalar engine loop, ``engine``/``fidelity`` (at their exact-engine
+        values) and ``calibration`` with the SEU surrogate."""
+        data = {**CampaignSpec(seed=4).to_dict(), key: value}
+        assert CampaignSpec.from_dict(data) == CampaignSpec(seed=4)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("engine", "surrogate"), ("fidelity", "two_stage")],
+    )
+    def test_surrogate_selection_names_the_removed_engine(self, key, value):
+        with pytest.raises(EvaluationError, match="surrogate engine"):
+            CampaignSpec.from_dict({key: value})
 
     def test_missing_charac_cache_is_an_error_before_any_build(
         self, tmp_path, monkeypatch

@@ -258,7 +258,7 @@ class TestReplayNewPaths:
     ):
         """One sample at a time: identical records, and each stream left
         at the same position (a caller drawing on after ``run_sample`` —
-        the two-stage screen, calibration — sees the same numbers)."""
+        conformance replay — sees the same numbers)."""
         engine, scalar, sampler = transient_engines[impact]
         base = np.random.SeedSequence(8080 + impact)
         for i in range(40):

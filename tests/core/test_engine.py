@@ -21,21 +21,6 @@ def engine(small_context, spec):
     return CrossLevelEngine(small_context, spec)
 
 
-class TestEngineConfig:
-    def test_unknown_variant_names_the_valid_ones(self):
-        with pytest.raises(EvaluationError) as excinfo:
-            EngineConfig(engine="warp")
-        message = str(excinfo.value)
-        assert "unknown engine variant 'warp'" in message
-        assert "exact" in message and "surrogate" in message
-
-    def test_known_variants_accepted(self):
-        from repro.core.engine import ENGINE_VARIANTS
-
-        for variant in ENGINE_VARIANTS:
-            assert EngineConfig(engine=variant).engine == variant
-
-
 class TestSingleSamples:
     def test_memory_only_sample_uses_analytical_path(
         self, small_context, engine

@@ -4,12 +4,10 @@ import json
 
 import pytest
 
-from repro.campaign.spec import CampaignSpec
 from repro.service.artifacts import (
-    KIND_CALIBRATION,
+    KIND_BASELINE,
     KIND_PRECHARAC,
     ArtifactStore,
-    calibration_path,
     ensure_precharac,
 )
 
@@ -30,7 +28,7 @@ class TestKeying:
 
     def test_key_separates_kinds_and_fields(self, store):
         base = store.key(KIND_PRECHARAC, benchmark="write", variant="none")
-        assert store.key(KIND_CALIBRATION, benchmark="write",
+        assert store.key(KIND_BASELINE, benchmark="write",
                          variant="none") != base
         assert store.key(KIND_PRECHARAC, benchmark="read",
                          variant="none") != base
@@ -74,28 +72,3 @@ class TestPrecharacKeying:
         b, hit = ensure_precharac(store, "write", "TMR+PARITY",
                                   builder=builder)
         assert a == b and hit
-
-
-class TestCalibrationKeying:
-    def test_keyed_by_fit_inputs_only(self, store):
-        spec = CampaignSpec(engine="surrogate", seed=7)
-        base = calibration_path(store, spec)
-        import dataclasses
-
-        # Fields the fit never reads do not split the artifact.
-        same = dataclasses.replace(
-            spec,
-            chunk_size=spec.chunk_size + 1,
-            trace=True,
-            calibration="/elsewhere/cal.json",
-        )
-        assert calibration_path(store, same) == base
-        # Fields the fit consumes do.
-        for change in (
-            {"seed": 8},
-            {"window": spec.window + 1},
-            {"sampler": "random"},
-            {"benchmark": "read"},
-        ):
-            other = dataclasses.replace(spec, **change)
-            assert calibration_path(store, other) != base

@@ -72,6 +72,18 @@ class TestLookups:
         cache = ResultCache(tmp_path)
         assert cache.lookup_complete(spec_hash(SPEC)) is None
 
+    def test_surrogate_spec_is_a_miss_not_an_error(self, tmp_path):
+        """A run written by the removed surrogate engine no longer
+        loads, so it never serves a cache hit."""
+        import json
+
+        store = run_campaign(tmp_path)
+        spec = {**SPEC.to_dict(), "engine": "surrogate"}
+        (store.path / "spec.json").write_text(json.dumps(spec))
+        cache = ResultCache(tmp_path)
+        assert cache.run_hash("done") is None
+        assert cache.lookup_complete(spec_hash(SPEC)) is None
+
     def test_hash_memo_tracks_mtime(self, tmp_path):
         run_campaign(tmp_path)
         cache = ResultCache(tmp_path)

@@ -135,6 +135,14 @@ class TestErrors:
         assert err.value.status == 400
         assert "quantum" in str(err.value)
 
+    def test_surrogate_spec_400_then_default_submit_succeeds(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit({**SPEC.to_dict(), "engine": "surrogate"})
+        assert err.value.status == 400
+        assert "surrogate" in str(err.value)
+        job = client.submit(SPEC)
+        assert client.wait(job["job_id"], timeout_s=30)["state"] == "done"
+
     def test_invalid_json_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/v1/campaigns",

@@ -12,6 +12,7 @@ from repro.service.jobs import (
     STATE_DONE,
     STATE_FAILED,
     STATE_QUEUED,
+    Job,
 )
 
 from tests.campaign.stubs import BernoulliEngine, StubSampler
@@ -229,6 +230,33 @@ class TestRecovery:
         try:
             done = wait_terminal(reborn, job.job_id)
             assert done.state == STATE_DONE
+        finally:
+            reborn.stop()
+
+
+    def test_replayed_surrogate_job_fails_without_crashing(self, tmp_path):
+        """A job queued for the removed surrogate engine, replayed from
+        an old job store, ends ``failed``; the service keeps working."""
+        service = make_service(tmp_path)
+        service.store.record_submit(
+            Job(
+                job_id="old",
+                spec={**SPEC.to_dict(), "engine": "surrogate"},
+                spec_hash="0" * 64,
+                run_id="old",
+            )
+        )
+        service.stop(wait=False)
+
+        reborn = make_service(tmp_path)
+        assert reborn.get_job("old").state == STATE_QUEUED
+        reborn.start()
+        try:
+            failed = wait_terminal(reborn, "old")
+            assert failed.state == STATE_FAILED
+            assert "surrogate" in failed.error
+            job, _ = reborn.submit(SPEC)
+            assert wait_terminal(reborn, job.job_id).state == STATE_DONE
         finally:
             reborn.stop()
 

@@ -160,25 +160,18 @@ class TestSemanticFields:
         data = {**CampaignSpec().to_dict(), "batch": False}
         assert spec_hash(CampaignSpec.from_dict(data)) == GOLDEN_DEFAULT
 
-    def test_engine_is_semantic(self):
-        """Swapping the evaluation backend changes what is estimated
-        (the surrogate draws latched patterns instead of simulating
-        them), so surrogate runs must never serve exact cache hits."""
-        surrogate = CampaignSpec(engine="surrogate")
-        assert spec_hash(surrogate) != spec_hash(CampaignSpec())
-
-    def test_fidelity_is_semantic(self):
-        single = CampaignSpec(engine="surrogate", fidelity="single")
-        two_stage = CampaignSpec(engine="surrogate", fidelity="two_stage")
-        assert spec_hash(two_stage) != spec_hash(single)
-
-    def test_calibration_is_not_semantic(self):
-        """Like charac_cache, the calibration artifact is derived
-        deterministically from the spec seed; the path only skips the
-        in-process refit."""
-        assert spec_hash(
-            CampaignSpec(engine="surrogate", calibration="/tmp/cal.json")
-        ) == spec_hash(CampaignSpec(engine="surrogate"))
+    def test_retired_surrogate_fields_still_match_the_golden_pin(self):
+        # Documents written while the SEU surrogate existed spell out the
+        # exact engine's ``engine``/``fidelity`` values and may name a
+        # calibration artifact; they must resolve to their old entry.
+        data = {
+            **CampaignSpec().to_dict(),
+            "engine": "exact",
+            "fidelity": "single",
+            "calibration": "/x/cal.json",
+            "batch": True,
+        }
+        assert spec_hash(CampaignSpec.from_dict(data)) == GOLDEN_DEFAULT
 
     def test_telemetry_is_not_semantic(self):
         """Shipped worker telemetry is forced non-deterministic on

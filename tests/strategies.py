@@ -299,29 +299,15 @@ def stopping_configs(draw):
 
 @st.composite
 def campaign_specs(draw):
-    # The surrogate backend only models single-cycle injections, so the
-    # engine draw constrains impact_cycles (mirroring spec validation).
-    engine = draw(st.sampled_from(("exact", "surrogate")))
-    fidelity = (
-        draw(st.sampled_from(("single", "two_stage")))
-        if engine == "surrogate"
-        else "single"
-    )
-    impact_cycles = 1 if engine == "surrogate" else draw(st.integers(1, 3))
     return CampaignSpec(
         benchmark=draw(st.sampled_from(("write", "read", "dma"))),
         variant=draw(st.sampled_from(("none", "parity", "dual", "tmr"))),
         sampler=draw(st.sampled_from(("random", "cone", "importance"))),
         window=draw(st.integers(1, 100)),
         subblock_fraction=draw(st.floats(0.01, 1.0)),
-        impact_cycles=impact_cycles,
+        impact_cycles=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**31 - 1)),
         chunk_size=draw(st.integers(1, 500)),
-        engine=engine,
-        fidelity=fidelity,
-        calibration=draw(
-            st.sampled_from((None, "cal.json", "/tmp/artifacts/cal.json"))
-        ),
         trace=draw(st.booleans()),
         stopping=draw(stopping_configs()),
     )
@@ -329,8 +315,7 @@ def campaign_specs(draw):
 
 #: Axis-value pools for sweep strategies.  Values are JSON-stable
 #: (ints, strings) and always produce valid campaigns against the
-#: conservative base drawn in :func:`sweep_specs` (engine stays exact,
-#: so impact_cycles/fidelity constraints never bite).
+#: conservative base drawn in :func:`sweep_specs`.
 SWEEP_AXIS_POOLS = {
     "variant": ("none", "parity", "dual", "dual+parity", "tmr+parity"),
     "window": tuple(range(10, 61, 10)),
@@ -386,66 +371,6 @@ def sweep_specs(draw):
         },
         axes=draw(sweep_axes()),
     )
-
-
-@st.composite
-def seu_patterns(draw):
-    """A canonical latched-SEU pattern: a sorted, unique bit set."""
-    from repro.surrogate.model import canonical_pattern
-
-    bits = draw(st.lists(register_bits, min_size=1, max_size=5, unique=True))
-    return canonical_pattern(bits)
-
-
-@st.composite
-def pattern_cells(draw):
-    """A fitted per-(cone, cycle-class) SEU-pattern distribution."""
-    from repro.surrogate.model import PatternCell
-
-    cell = PatternCell()
-    n_masked = draw(st.integers(0, 20))
-    for _ in range(n_masked):
-        cell.observe(None)
-    for pattern in draw(
-        st.lists(seu_patterns(), min_size=0, max_size=6)
-    ):
-        for _ in range(draw(st.integers(1, 5))):
-            cell.observe(pattern)
-    return cell
-
-
-@st.composite
-def surrogate_models(draw):
-    """A surrogate model over a handful of cone/cycle-class cells."""
-    from repro.surrogate.model import SurrogateModel
-
-    model = SurrogateModel(
-        cycle_class_width=draw(st.integers(1, 16)),
-        min_observations=draw(st.integers(1, 8)),
-        fnr=draw(st.floats(0.0, 0.8)),
-        n_calibration_samples=draw(st.integers(0, 2000)),
-    )
-    cones = draw(
-        st.lists(
-            st.lists(
-                st.sampled_from(
-                    ("cfg_top0", "cfg_base1", "viol_addr", "acc", "pc")
-                ),
-                min_size=1,
-                max_size=3,
-                unique=True,
-            ).map(lambda regs: tuple(sorted(regs))),
-            min_size=0,
-            max_size=4,
-            unique=True,
-        )
-    )
-    for cone in cones:
-        cycle = draw(st.integers(0, 200))
-        cell = draw(pattern_cells())
-        if cell.n_observations:
-            model.cells[model.cell_key(cone, cycle)] = cell
-    return model
 
 
 @st.composite

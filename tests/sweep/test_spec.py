@@ -19,6 +19,25 @@ BASE = {
 }
 
 
+#: Every campaign field spelled out, as perfbench's ``base_fields`` does
+#: (it also carries the retired fields).
+FULL_BASE = {
+    "benchmark": "write",
+    "variant": "none",
+    "sampler": "importance",
+    "window": 50,
+    "subblock_fraction": 0.125,
+    "impact_cycles": 1,
+    "seed": 7,
+    "chunk_size": 20,
+    "charac_cache": None,
+    "trace": False,
+    "telemetry": True,
+    "baseline_store": None,
+    "stopping": {"mode": "fixed", "n_samples": 40},
+}
+
+
 def make_spec(**kwargs):
     kwargs.setdefault("base", dict(BASE))
     kwargs.setdefault("axes", {"variant": ("none", "parity")})
@@ -77,17 +96,40 @@ class TestValidation:
         spec = make_spec(base={**BASE, "batch": False, "trace": True})
         assert spec.expand().points
 
-    def test_legacy_batch_key_in_base_is_dropped(self):
-        """Sweep documents written while campaigns had a ``batch`` field
+    @pytest.mark.parametrize(
+        "base,retired",
+        [
+            (BASE, {"batch": True}),
+            (
+                FULL_BASE,
+                {
+                    "engine": "exact",
+                    "fidelity": "single",
+                    "calibration": None,
+                    "batch": True,
+                },
+            ),
+        ],
+        ids=["batch", "full-base"],
+    )
+    def test_legacy_keys_in_base_are_dropped(self, base, retired):
+        """Sweep documents written while campaigns had these fields
         still expand, onto the same points and spec hashes."""
-        legacy = make_spec(base={**BASE, "batch": True}).expand()
-        current = make_spec().expand()
+        axes = {"impact_cycles": (2, 3), "seed": (7, 8)}
+        legacy = make_spec(base={**base, **retired}, axes=axes).expand()
+        current = make_spec(base=base, axes=axes).expand()
+        assert len(current.points) == 4
         assert [p.digest for p in legacy.points] == [
             p.digest for p in current.points
         ]
         assert [p.spec for p in legacy.points] == [
             p.spec for p in current.points
         ]
+
+    def test_surrogate_engine_in_base_names_the_point(self):
+        spec = make_spec(base={**BASE, "engine": "surrogate"})
+        with pytest.raises(SweepError, match=r"sweep point .*surrogate"):
+            spec.expand()
 
 
 class TestExpansion:

@@ -50,6 +50,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--no-batch"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate"],
+            ["evaluate", "--engine", "exact"],
+            ["campaign", "run", "--fidelity", "single"],
+            ["submit", "--calibration", "cal.json"],
+            ["conformance", "--surrogate"],
+        ],
+        ids=["calibrate", "engine", "fidelity", "calibration", "surrogate"],
+    )
+    def test_surrogate_surface_is_gone(self, argv):
+        """The SEU surrogate's command and flags are argparse errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_all_benchmarks_registered(self):
         assert set(BENCHMARKS) == {"write", "read", "dma"}
 
@@ -162,6 +179,31 @@ class TestCliErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "spec.json" in err
+
+    def test_surrogate_run_is_an_error_not_a_traceback(
+        self, capsys, tmp_path
+    ):
+        """A run written by the removed surrogate engine cannot be
+        inspected or resumed: one ``error:`` line, exit 2.  The listing
+        reads only checkpoints, so it still shows the run."""
+        import json
+
+        from repro.campaign import CampaignSpec, RunStore
+
+        store = RunStore.create(tmp_path, CampaignSpec(), run_id="old")
+        spec = {**CampaignSpec().to_dict(), "engine": "surrogate"}
+        (store.path / "spec.json").write_text(json.dumps(spec))
+        for verb in ("status", "resume"):
+            code = main(
+                ["campaign", verb, "old", "--runs-dir", str(tmp_path)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error:")
+            assert "surrogate" in err[0] and "spec.json" in err[0]
+        assert main(["campaign", "status", "--runs-dir", str(tmp_path)]) == 0
+        assert "old" in capsys.readouterr().out
 
     def test_resume_of_missing_run_is_clean(self, capsys, tmp_path):
         code = main(

@@ -8,13 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
-    EmpiricalDistribution,
     RunningStats,
     chi2_sf,
     chi_square_gof,
-    kolmogorov_sf,
-    ks_1samp,
-    ks_2samp,
     samples_for_risk,
     wilson_interval,
 )
@@ -182,136 +178,3 @@ class TestChebyshevBound:
             samples_for_risk(0.1, 0.1, 1.5)
         with pytest.raises(ValueError):
             samples_for_risk(-1.0, 0.1, 0.5)
-
-
-class TestKolmogorovSf:
-    def test_reference_values(self):
-        # Classical table values of the Kolmogorov distribution.
-        assert kolmogorov_sf(1.36) == pytest.approx(0.0495, abs=5e-4)
-        assert kolmogorov_sf(1.22) == pytest.approx(0.1019, abs=5e-4)
-        assert kolmogorov_sf(1.63) == pytest.approx(0.0100, abs=5e-4)
-
-    def test_limits(self):
-        assert kolmogorov_sf(0.0) == 1.0
-        assert kolmogorov_sf(-3.0) == 1.0
-        assert kolmogorov_sf(10.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_monotone_decreasing(self):
-        xs = [0.2 * i for i in range(1, 20)]
-        values = [kolmogorov_sf(x) for x in xs]
-        assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
-class TestKs1Samp:
-    def test_uniform_sample_against_uniform_cdf(self):
-        rng = np.random.default_rng(1)
-        sample = rng.uniform(0.0, 1.0, size=500).tolist()
-        result = ks_1samp(sample, lambda x: min(1.0, max(0.0, x)))
-        assert result.p_value > 0.05
-        assert result.statistic < 0.08
-
-    def test_shifted_sample_rejected(self):
-        rng = np.random.default_rng(6)
-        sample = (rng.uniform(0.0, 1.0, size=500) ** 2).tolist()
-        result = ks_1samp(sample, lambda x: min(1.0, max(0.0, x)))
-        assert result.p_value < 1e-6
-
-    def test_exact_statistic_small_sample(self):
-        # n=1, x=0.5 against U(0,1): D = max(1 - 0.5, 0.5 - 0) = 0.5.
-        result = ks_1samp([0.5], lambda x: x)
-        assert result.statistic == pytest.approx(0.5)
-        assert result.n == 1
-
-    def test_normal_sample_against_normal_cdf(self):
-        rng = np.random.default_rng(2)
-        sample = rng.normal(0.0, 1.0, size=800).tolist()
-        cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2)))  # noqa: E731
-        assert ks_1samp(sample, cdf).p_value > 0.05
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            ks_1samp([], lambda x: x)
-
-
-class TestKs2Samp:
-    def test_same_distribution_accepted(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=400).tolist()
-        b = rng.normal(size=300).tolist()
-        result = ks_2samp(a, b)
-        assert result.p_value > 0.05
-        assert (result.n, result.m) == (400, 300)
-
-    def test_shifted_distribution_rejected(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(0.0, 1.0, size=400).tolist()
-        b = rng.normal(1.0, 1.0, size=400).tolist()
-        assert ks_2samp(a, b).p_value < 1e-6
-
-    def test_identical_samples_have_zero_statistic(self):
-        a = [1.0, 2.0, 3.0, 4.0]
-        result = ks_2samp(a, list(a))
-        assert result.statistic == 0.0
-        assert result.p_value == 1.0
-
-    def test_ties_are_exact(self):
-        # Discrete data with heavy ties: ECDFs evaluated on the merged
-        # support, D = |3/4 - 1/4| at x=1 for these two samples.
-        result = ks_2samp([1, 1, 1, 2], [1, 2, 2, 2])
-        assert result.statistic == pytest.approx(0.5)
-
-    def test_disjoint_supports_have_statistic_one(self):
-        assert ks_2samp([0.0, 0.1], [5.0, 6.0]).statistic == pytest.approx(1.0)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            ks_2samp([], [1.0])
-
-
-class TestEmpiricalDistribution:
-    def test_fit_recovers_frequencies(self):
-        dist = EmpiricalDistribution.fit(["a", "b", "a", "a"])
-        assert dist.pmf("a") == pytest.approx(0.75)
-        assert dist.pmf("b") == pytest.approx(0.25)
-        assert dist.pmf("zz") == 0.0
-
-    def test_fit_is_order_independent(self):
-        a = EmpiricalDistribution.fit([3, 1, 1, 2])
-        b = EmpiricalDistribution.fit([1, 2, 1, 3])
-        assert a == b
-
-    def test_quantile_inverts_cdf(self):
-        dist = EmpiricalDistribution.from_counts({"x": 1, "y": 3})
-        # Sorted by repr: "x" before "y"; P(x)=0.25.
-        assert dist.quantile(0.0) == "x"
-        assert dist.quantile(0.2499) == "x"
-        assert dist.quantile(0.25) == "y"
-        assert dist.quantile(0.999) == "y"
-
-    def test_quantile_draws_match_fitted_pmf(self):
-        rng = np.random.default_rng(5)
-        dist = EmpiricalDistribution.from_counts({"a": 2, "b": 5, "c": 3})
-        draws = [dist.quantile(float(u)) for u in rng.random(4000)]
-        freq = {k: draws.count(k) / len(draws) for k in ("a", "b", "c")}
-        for outcome in ("a", "b", "c"):
-            assert freq[outcome] == pytest.approx(dist.pmf(outcome), abs=0.03)
-
-    def test_quantile_range_validated(self):
-        dist = EmpiricalDistribution.fit([1])
-        with pytest.raises(ValueError):
-            dist.quantile(1.0)
-        with pytest.raises(ValueError):
-            dist.quantile(-0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution.fit([])
-        with pytest.raises(ValueError):
-            EmpiricalDistribution.from_counts({"a": 0})
-
-    def test_as_dict_round_trip(self):
-        dist = EmpiricalDistribution.from_counts({(1, 2): 3, (0, 1): 1})
-        clone = EmpiricalDistribution.from_counts(
-            {k: int(round(v * 4)) for k, v in dist.as_dict().items()}
-        )
-        assert clone == dist
