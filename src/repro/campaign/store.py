@@ -13,30 +13,32 @@ The log is the source of truth: ``campaign resume`` replays it into a
 fresh Welford estimator and continues with the first chunk index not in
 the log.  Because chunks are only logged once they have been merged into
 the estimator (strictly in chunk-index order), the log is always a
-contiguous prefix of the campaign's chunk plan — a crash can at worst
-truncate the final line, which the replay detects and discards.  Each log
-line also carries the chunk's serialized metrics snapshot, so a resumed
-run re-merges the *same* per-chunk metrics an uninterrupted run saw.
+contiguous prefix of the campaign's chunk plan.  Appends and replay follow
+the commit rule of :mod:`repro.utils.durable`: a crash can at worst leave
+an unterminated final line, which replay drops and the next append cuts
+away.  Each log line also carries the chunk's serialized metrics
+snapshot, so a resumed run re-merges the *same* per-chunk metrics an
+uninterrupted run saw.
 
 Checkpoints and the metrics/trace exports are advisory (they feed
 ``campaign status`` and ``repro obs report``); correctness never depends
-on them — both are atomically rewritten from merged state, never
-appended.
+on them — both are atomically rewritten from merged state
+(:func:`~repro.utils.durable.atomic_write`), never appended.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import uuid
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.attack.spec import AttackSample
 from repro.campaign.spec import CampaignSpec
 from repro.core.results import OutcomeCategory, SampleRecord
 from repro.errors import EvaluationError
+from repro.utils.durable import JsonlLog, atomic_write
 
 SPEC_FILE = "spec.json"
 LOG_FILE = "log.jsonl"
@@ -110,6 +112,18 @@ class RunStore:
 
     def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
+        self._log = JsonlLog(
+            self.path / LOG_FILE,
+            name="campaign log",
+            error=EvaluationError,
+            sort_keys=False,
+        )
+        self._events = JsonlLog(
+            self.path / EVENTS_FILE,
+            name="event log",
+            error=EvaluationError,
+            fsync=False,
+        )
 
     @property
     def run_id(self) -> str:
@@ -132,7 +146,7 @@ class RunStore:
             raise EvaluationError(f"run {run_id!r} already exists at {path}")
         path.mkdir(parents=True)
         store = cls(path)
-        (path / SPEC_FILE).write_text(spec.to_json())
+        atomic_write(path / SPEC_FILE, spec.to_json())
         store.write_checkpoint({"status": STATUS_RUNNING, "n_samples": 0})
         return store
 
@@ -175,53 +189,23 @@ class RunStore:
         }
         if metrics is not None:
             payload["metrics"] = metrics
-        line = json.dumps(payload)
-        with open(self.path / LOG_FILE, "a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def replay(self) -> Iterator[Tuple[int, List[SampleRecord]]]:
-        """Yield ``(chunk_index, records)`` in log order (compat shim
-        over :meth:`replay_chunks`)."""
-        for entry in self.replay_chunks():
-            yield entry.index, entry.records
+        self._log.append(payload)
 
     def replay_chunks(self) -> Iterator[ChunkLogEntry]:
         """Yield :class:`ChunkLogEntry` in log order.
 
-        A truncated trailing line (crash mid-append) is discarded; any
-        other malformed content raises, because it means the log is not
-        the contiguous prefix the resume logic depends on.
+        Replay drops an unterminated final line (crash mid-append); a
+        corrupt committed line or a gap in the chunk indices raises,
+        because the log must be the contiguous prefix the resume logic
+        depends on.
         """
-        log = self.path / LOG_FILE
-        if not log.exists():
-            return
-        with open(log) as fh:
-            lines = fh.read().split("\n")
-        # A complete log ends with "\n", so the final element is "".
-        if lines and lines[-1] == "":
-            lines.pop()
-            trailing_complete = True
-        else:
-            trailing_complete = False
-        expected = 0
-        for i, line in enumerate(lines):
-            last = i == len(lines) - 1
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                if last and not trailing_complete:
-                    return  # torn final append: drop it
-                raise EvaluationError(
-                    f"corrupt campaign log {log} at line {i + 1}"
-                )
+        for expected, payload in enumerate(self._log.replay()):
             if payload["chunk"] != expected:
                 raise EvaluationError(
-                    f"campaign log {log} is not a contiguous chunk prefix "
-                    f"(expected chunk {expected}, found {payload['chunk']})"
+                    f"campaign log {self._log.path} is not a contiguous "
+                    f"chunk prefix (expected chunk {expected}, found "
+                    f"{payload['chunk']})"
                 )
-            expected += 1
             yield ChunkLogEntry(
                 index=payload["chunk"],
                 records=[record_from_dict(r) for r in payload["records"]],
@@ -233,10 +217,10 @@ class RunStore:
     # ------------------------------------------------------------------
     def write_checkpoint(self, snapshot: dict) -> None:
         """Atomically replace the checkpoint file."""
-        target = self.path / CHECKPOINT_FILE
-        tmp = self.path / (CHECKPOINT_FILE + ".tmp")
-        tmp.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
-        tmp.replace(target)
+        atomic_write(
+            self.path / CHECKPOINT_FILE,
+            json.dumps(snapshot, indent=2, sort_keys=True),
+        )
 
     def read_checkpoint(self) -> dict:
         target = self.path / CHECKPOINT_FILE
@@ -251,16 +235,11 @@ class RunStore:
     # ------------------------------------------------------------------
     # observability exports (advisory, atomically rewritten)
     # ------------------------------------------------------------------
-    def _atomic_write(self, filename: str, text: str) -> None:
-        tmp = self.path / (filename + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(self.path / filename)
-
     def write_metrics(self, registry) -> None:
         """Export a merged :class:`~repro.obs.metrics.MetricsRegistry` as
         ``metrics.jsonl`` + a Prometheus textfile."""
-        self._atomic_write(METRICS_FILE, registry.to_jsonl())
-        self._atomic_write(PROM_FILE, registry.to_prometheus())
+        atomic_write(self.path / METRICS_FILE, registry.to_jsonl())
+        atomic_write(self.path / PROM_FILE, registry.to_prometheus())
 
     def read_metrics(self) -> List[dict]:
         """The latest exported metrics snapshot ([] when never written)."""
@@ -273,8 +252,9 @@ class RunStore:
 
     def write_trace(self, tracer) -> None:
         """Export a recording tracer's buffer as Chrome trace JSON."""
-        self._atomic_write(
-            TRACE_FILE, json.dumps(tracer.to_chrome(), sort_keys=True)
+        atomic_write(
+            self.path / TRACE_FILE,
+            json.dumps(tracer.to_chrome(), sort_keys=True),
         )
 
     def write_fleet_trace(self, trace: dict) -> None:
@@ -284,8 +264,8 @@ class RunStore:
         from its own (coordinator-side) tracer at every checkpoint, and
         the merged trace exists only for fleet runs.
         """
-        self._atomic_write(
-            FLEET_TRACE_FILE, json.dumps(trace, sort_keys=True)
+        atomic_write(
+            self.path / FLEET_TRACE_FILE, json.dumps(trace, sort_keys=True)
         )
 
     def read_fleet_trace(self) -> dict:
@@ -302,28 +282,13 @@ class RunStore:
         """Append one operational event (lease lifecycle, shipped worker
         log record, straggler flag) to ``events.jsonl``.
 
-        Advisory telemetry: plain buffered appends, no fsync — losing a
-        tail of events in a crash costs debuggability, never
-        correctness.
+        Advisory telemetry: appended without fsync — losing a tail of
+        events in a crash costs debuggability, never correctness.
         """
         self.path.mkdir(parents=True, exist_ok=True)
-        with open(self.path / EVENTS_FILE, "a") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        self._events.append(event)
 
     def read_events(self) -> List[dict]:
-        """All operational events ([] when the run shipped none); a torn
-        final line is dropped."""
-        target = self.path / EVENTS_FILE
-        if not target.exists():
-            return []
-        out = []
-        with open(target) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break
-        return out
+        """All committed operational events ([] when the run shipped
+        none)."""
+        return list(self._events.replay())

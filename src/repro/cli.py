@@ -507,7 +507,6 @@ def cmd_serve(args) -> int:
     import time
 
     from repro.service import (
-        AsyncServiceServer,
         DISPATCH_FLEET,
         DISPATCH_LOCAL,
         EvaluationService,
@@ -521,8 +520,7 @@ def cmd_serve(args) -> int:
         dispatch=DISPATCH_FLEET if args.fleet else DISPATCH_LOCAL,
         lease_ttl_s=args.lease_ttl,
     )
-    server_cls = AsyncServiceServer if args.async_io else ServiceServer
-    server = server_cls(service, host=args.host, port=args.port)
+    server = ServiceServer(service, host=args.host, port=args.port)
     server.start()
     mode = "fleet" if args.fleet else "local"
     print(
@@ -1236,9 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spawn-workers", type=int, default=0, metavar="N",
                    help="launch N local fleet workers attached to this "
                    "coordinator (requires --fleet)")
-    p.add_argument("--async-io", action="store_true",
-                   help="serve with the asyncio front-end (cheap SSE "
-                   "streaming for many watchers)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -7,12 +7,8 @@ subscribers (SSE handlers, long-poll requests, the CLI) read events
 *after* a sequence number they already hold, so a reconnecting client
 never misses or re-reads an event that is still in the buffer.
 
-The bus is thread-first (publishers run on service worker and HTTP
-handler threads) but async-capable: :meth:`EventBus.wait_async` parks an
-``asyncio`` task without pinning a thread, woken via
-``loop.call_soon_threadsafe`` from whichever thread publishes next —
-this is what lets the asyncio front-end fan one run's progress out to
-many concurrent SSE watchers cheaply.
+Publishers run on service worker and HTTP handler threads; waiters
+block on one condition variable (:meth:`EventBus.wait`).
 """
 
 from __future__ import annotations
@@ -29,17 +25,14 @@ SeqEvent = Tuple[int, dict]
 
 
 class EventBus:
-    """Per-topic sequence-numbered event ring buffer with blocking and
-    async waits."""
+    """Per-topic sequence-numbered event ring buffer with blocking
+    waits."""
 
     def __init__(self, history: int = 1024):
         self.history = max(1, history)
         self._cond = threading.Condition()
         self._events: Dict[str, Deque[SeqEvent]] = {}
         self._next_seq: Dict[str, int] = {}
-        # (loop, asyncio.Event) pairs parked in wait_async; woken on any
-        # publish (waiters re-filter by topic, which keeps publish O(w)).
-        self._async_waiters: List[tuple] = []
 
     # ------------------------------------------------------------------
     # publishing
@@ -54,12 +47,6 @@ class EventBus:
             )
             buffer.append((seq, dict(event)))
             self._cond.notify_all()
-            waiters, self._async_waiters = self._async_waiters, []
-        for loop, flag in waiters:
-            try:
-                loop.call_soon_threadsafe(flag.set)
-            except RuntimeError:
-                pass  # loop already closed; the waiter is gone anyway
         return seq
 
     # ------------------------------------------------------------------
@@ -73,10 +60,7 @@ class EventBus:
     def events_after(self, topic: str, after: int) -> List[SeqEvent]:
         """Buffered ``(seq, event)`` pairs with ``seq >= after``."""
         with self._cond:
-            buffer = self._events.get(topic)
-            if not buffer:
-                return []
-            return [(seq, event) for seq, event in buffer if seq >= after]
+            return self._events_after_locked(topic, after)
 
     def wait(
         self, topic: str, after: int, timeout_s: Optional[float] = None
@@ -109,26 +93,3 @@ class EventBus:
         if not buffer:
             return []
         return [(seq, event) for seq, event in buffer if seq >= after]
-
-    async def wait_async(
-        self, topic: str, after: int, timeout_s: Optional[float] = None
-    ) -> List[SeqEvent]:
-        """Async counterpart of :meth:`wait`: parks the task, not a
-        thread, until a publisher wakes it."""
-        import asyncio
-
-        loop = asyncio.get_event_loop()
-        while True:
-            flag = asyncio.Event()
-            with self._cond:
-                ready = self._events_after_locked(topic, after)
-                if ready:
-                    return ready
-                self._async_waiters.append((loop, flag))
-            try:
-                await asyncio.wait_for(flag.wait(), timeout=timeout_s)
-            except asyncio.TimeoutError:
-                with self._cond:
-                    if (loop, flag) in self._async_waiters:
-                        self._async_waiters.remove((loop, flag))
-                return self._events_after_locked(topic, after)

@@ -20,13 +20,12 @@ processes can pull from over HTTP:
   samples in the estimator.
 
 Lease grants, renewals, and releases are appended to an fsynced JSONL
-log (``ledger.jsonl`` inside the run directory), with the same crash
-contract as the campaign chunk log: every grant is durable before the
-worker learns its lease id, a crash can at worst tear the final line
-(discarded on replay), and a restarted coordinator folds the log to
-*re-adopt* in-flight leases — workers that survived the coordinator
-keep heartbeating and their results are accepted as if nothing
-happened.
+log (``ledger.jsonl`` inside the run directory, a
+:class:`~repro.utils.durable.JsonlLog`): every grant is durable before
+the worker learns its lease id, and a restarted coordinator folds the
+log's committed entries to *re-adopt* in-flight leases — workers that
+survived the coordinator keep heartbeating and their results are
+accepted as if nothing happened.
 
 Chunk *completion* is deliberately not tracked here: the campaign
 :class:`~repro.campaign.store.RunStore` chunk log (a contiguous,
@@ -39,8 +38,6 @@ equal to a single-node run of the same spec.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import threading
 import uuid
@@ -49,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.campaign.scheduler import Chunk
 from repro.errors import LeaseGone, ServiceError
+from repro.utils.durable import JsonlLog
 
 LEDGER_FILE = "ledger.jsonl"
 
@@ -107,6 +105,9 @@ class ChunkLedger:
         import time
 
         self.path = pathlib.Path(path)
+        self._log = JsonlLog(
+            self.path, name="fleet ledger", error=ServiceError
+        )
         self.ttl_s = float(ttl_s)
         self._clock = clock if clock is not None else time.time
         self._lock = threading.RLock()
@@ -128,13 +129,6 @@ class ChunkLedger:
     # ------------------------------------------------------------------
     # durable log
     # ------------------------------------------------------------------
-    def _append(self, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True)
-        with open(self.path, "a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _replay(self) -> None:
         """Fold an existing ledger log: re-adopt unexpired leases.
 
@@ -143,24 +137,8 @@ class ChunkLedger:
         ignored; expired leases fall back to ``pending`` — their chunks
         will be re-issued exactly as if the sweeper had expired them.
         """
-        if not self.path.exists():
-            return
-        with open(self.path) as fh:
-            lines = fh.read().split("\n")
-        trailing_complete = bool(lines) and lines[-1] == ""
-        if trailing_complete:
-            lines.pop()
         leases: Dict[str, Lease] = {}
-        for i, line in enumerate(lines):
-            last = i == len(lines) - 1
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                if last and not trailing_complete:
-                    break  # torn final append from a crash: drop it
-                raise ServiceError(
-                    f"corrupt fleet ledger {self.path} at line {i + 1}"
-                )
+        for lineno, payload in enumerate(self._log.replay(), 1):
             event = payload["event"]
             if event == EVENT_LEASE:
                 chunk = self._chunks.get(payload["chunk"])
@@ -183,7 +161,7 @@ class ChunkLedger:
             else:
                 raise ServiceError(
                     f"fleet ledger {self.path} has unknown event "
-                    f"{event!r} at line {i + 1}"
+                    f"{event!r} at line {lineno}"
                 )
         now = self._clock()
         for lease in leases.values():
@@ -226,7 +204,7 @@ class ChunkLedger:
                     0.0, now - self._pending_since.pop(index, now)
                 ),
             )
-            self._append(
+            self._log.append(
                 {
                     "event": EVENT_LEASE,
                     "lease_id": lease.lease_id,
@@ -249,7 +227,7 @@ class ChunkLedger:
         with self._lock:
             lease = self._require_live(lease_id)
             lease.expires_at = self._clock() + (ttl_s or self.ttl_s)
-            self._append(
+            self._log.append(
                 {
                     "event": EVENT_RENEW,
                     "lease_id": lease_id,
@@ -290,7 +268,7 @@ class ChunkLedger:
         return lease
 
     def _release(self, lease: Lease, reason: str) -> None:
-        self._append(
+        self._log.append(
             {
                 "event": EVENT_RELEASE,
                 "lease_id": lease.lease_id,

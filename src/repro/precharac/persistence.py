@@ -26,6 +26,7 @@ from repro.precharac.characterization import (
 )
 from repro.precharac.lifetime import LifetimeCampaign, RegisterCharacter
 from repro.precharac.signatures import SignatureAnalysis
+from repro.utils.durable import atomic_write
 
 FORMAT_VERSION = 1
 
@@ -42,7 +43,7 @@ def save_characterization(
     characterization: SystemCharacterization,
     path: Union[str, pathlib.Path],
 ) -> None:
-    """Serialize to a JSON file."""
+    """Serialize to a JSON file (atomically replaced)."""
     cones = characterization.cones
     payload = {
         "version": FORMAT_VERSION,
@@ -93,7 +94,7 @@ def save_characterization(
             list(b) for b in characterization.computation_type
         ),
     }
-    pathlib.Path(path).write_text(json.dumps(payload))
+    atomic_write(path, json.dumps(payload))
 
 
 def load_characterization(

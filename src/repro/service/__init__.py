@@ -7,18 +7,16 @@ hash, queues and executes campaigns under bounded concurrency, caches
 finished results content-addressed by that hash, and serves estimates,
 live status, and observability reports over HTTP.
 
-* :mod:`repro.service.jobs` — durable JSONL job log + priority queue
-  (crash-safe like the campaign ``RunStore``);
+* :mod:`repro.service.jobs` — durable JSONL job log
+  (:mod:`repro.utils.durable`) + priority queue;
 * :mod:`repro.service.cache` — spec-hash result cache over run
   directories, with partial-run reuse via ``campaign resume``;
 * :mod:`repro.service.service` — :class:`EvaluationService`: submit /
   dedup / worker pool / cancel / metrics;
-* :mod:`repro.service.router` — transport-agnostic route table shared
-  by both HTTP front-ends (campaign API + fleet protocol + SSE);
+* :mod:`repro.service.router` — transport-agnostic route table
+  (campaign API + fleet protocol + SSE);
 * :mod:`repro.service.server` — threaded stdlib HTTP API
   (``POST /v1/campaigns`` and friends);
-* :mod:`repro.service.async_server` — asyncio front-end with cheap
-  SSE progress streaming (one task per watcher, not one thread);
 * :mod:`repro.service.client` — thin client used by the CLI verbs
   ``repro submit|status|result|cancel`` and by fleet workers.
 """
@@ -44,7 +42,6 @@ from repro.service.jobs import (
     STATE_RUNNING,
     TERMINAL_STATES,
 )
-from repro.service.async_server import AsyncServiceServer
 from repro.service.router import ApiRequest, ApiResponse, ApiRouter
 from repro.service.server import ServiceHTTPServer, ServiceServer
 from repro.service.service import (
@@ -59,7 +56,6 @@ __all__ = [
     "ApiRequest",
     "ApiResponse",
     "ApiRouter",
-    "AsyncServiceServer",
     "CacheHit",
     "DISPATCH_FLEET",
     "DISPATCH_LOCAL",

@@ -12,18 +12,19 @@ cache entries for the result cache but share this precomputation.
 artifact kind plus its canonical key fields, salted with
 :func:`~repro.campaign.spec_hash.code_version_salt` — a code upgrade
 that could change the derived data invalidates the store wholesale, the
-same policy the result cache applies.  Writes are atomic
-(temp + rename), so a crashed builder never leaves a truncated artifact
-to poison later runs.
+same policy the result cache applies.  Writes go through
+:mod:`repro.utils.durable` (a unique temporary moved into place), so a
+crashed builder never leaves a truncated artifact to poison later runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 from typing import Callable, Tuple, Union
+
+from repro.utils.durable import atomic_path, atomic_write
 
 #: Pre-characterization JSON (``repro.precharac.persistence``).
 KIND_PRECHARAC = "precharac"
@@ -64,17 +65,17 @@ class ArtifactStore:
     ) -> Tuple[pathlib.Path, bool]:
         """Return ``(path, cache_hit)``, building the artifact on a miss.
 
-        The builder writes to a temp path that is atomically renamed
-        into place, so concurrent builders race benignly (last rename
-        wins with identical content) and crashes leave no partial file.
+        The builder writes to a temporary path of its own that is
+        atomically moved into place, so concurrent builders race benignly
+        (last move wins with identical content) and crashes leave no
+        partial file.
         """
         path = self.path_for(kind, **fields)
         if path.exists():
             return path, True
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        builder(tmp)
-        tmp.replace(path)
+        with atomic_path(path) as tmp:
+            builder(tmp)
         return path, False
 
 
@@ -255,9 +256,7 @@ class CycleBaselineStore:
             },
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
+        atomic_write(path, json.dumps(payload))
         self.writes += 1
 
 

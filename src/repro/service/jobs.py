@@ -3,11 +3,10 @@
 The service's unit of work is a *job*: one submitted
 :class:`~repro.campaign.spec.CampaignSpec`, content-addressed by its
 spec hash and bound to one campaign run directory.  Job state lives in
-an append-only, fsynced JSONL event log (``jobs.jsonl``) with the same
-crash contract as the campaign :class:`~repro.campaign.store.RunStore`:
-every transition is durable before it takes effect, a crash can at worst
-tear the final line (which replay discards), and a restart rebuilds the
-exact job table by folding the log.
+an append-only, fsynced JSONL event log (``jobs.jsonl``, a
+:class:`~repro.utils.durable.JsonlLog`): every transition is durable
+before it takes effect, and a restart rebuilds the exact job table by
+folding the log's committed entries.
 
 Jobs found ``running`` during replay were interrupted by a crash; the
 service re-queues them, and because the campaign run directory is itself
@@ -19,8 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
-import os
 import pathlib
 import threading
 import uuid
@@ -28,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ServiceError
+from repro.utils.durable import JsonlLog
 
 JOBS_FILE = "jobs.jsonl"
 
@@ -101,18 +99,17 @@ class JobStore:
     def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._log = self.path / JOBS_FILE
+        self._log = JsonlLog(
+            self.path / JOBS_FILE, name="job log", error=ServiceError
+        )
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # durable appends
     # ------------------------------------------------------------------
     def _append(self, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True)
-        with self._lock, open(self._log, "a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        with self._lock:
+            self._log.append(payload)
 
     def record_submit(self, job: Job) -> None:
         self._append({"event": "submit", "job": job.to_dict()})
@@ -126,28 +123,13 @@ class JobStore:
     def load(self) -> Dict[str, Job]:
         """Fold the event log into a job table (insertion-ordered).
 
-        A torn final line (crash mid-append) is discarded; any other
-        malformed line raises, because silently skipping events would
+        A corrupt committed line, an update for an unknown job and an
+        unknown event all raise, because silently skipping events would
         desynchronize the table from what the service already did.
         """
         jobs: Dict[str, Job] = {}
-        if not self._log.exists():
-            return jobs
-        with open(self._log) as fh:
-            lines = fh.read().split("\n")
-        trailing_complete = bool(lines) and lines[-1] == ""
-        if trailing_complete:
-            lines.pop()
-        for i, line in enumerate(lines):
-            last = i == len(lines) - 1
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                if last and not trailing_complete:
-                    break  # torn final append: drop it
-                raise ServiceError(
-                    f"corrupt job log {self._log} at line {i + 1}"
-                )
+        log = self._log.path
+        for lineno, payload in enumerate(self._log.replay(), 1):
             if payload["event"] == "submit":
                 job = Job.from_dict(payload["job"])
                 jobs[job.job_id] = job
@@ -155,15 +137,15 @@ class JobStore:
                 job = jobs.get(payload["job_id"])
                 if job is None:
                     raise ServiceError(
-                        f"job log {self._log} updates unknown job "
-                        f"{payload['job_id']!r} at line {i + 1}"
+                        f"job log {log} updates unknown job "
+                        f"{payload['job_id']!r} at line {lineno}"
                     )
                 for key, value in payload["fields"].items():
                     setattr(job, key, value)
             else:
                 raise ServiceError(
-                    f"job log {self._log} has unknown event "
-                    f"{payload['event']!r} at line {i + 1}"
+                    f"job log {log} has unknown event "
+                    f"{payload['event']!r} at line {lineno}"
                 )
         return jobs
 

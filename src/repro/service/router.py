@@ -2,23 +2,15 @@
 
 :class:`ApiRouter` maps ``(method, path, query, body)`` onto
 :class:`~repro.service.service.EvaluationService` calls and returns
-plain :class:`ApiResponse` payloads — no sockets, no framework.  Both
-front-ends reuse it verbatim:
-
-* the threaded :mod:`repro.service.server`
-  (``http.server.ThreadingHTTPServer``), and
-* the asyncio :mod:`repro.service.async_server`
-  (``asyncio.start_server``),
-
-so every route — including the fleet protocol — behaves identically on
-either transport.  The one thing the router cannot finish by itself is
-a live SSE stream: for ``GET /v1/campaigns/<id>/events`` it returns an
+plain :class:`ApiResponse` payloads — no sockets, no framework; the threaded
+:mod:`repro.service.server` only parses requests and serializes
+responses.  The one thing the router cannot finish by itself is a live
+SSE stream: for ``GET /v1/campaigns/<id>/events`` it returns an
 :class:`EventStreamResponse` *subscription descriptor* and the transport
 drives the stream (a handler thread blocking on
-:meth:`~repro.fleet.events.EventBus.wait`, or an asyncio task parked in
-:meth:`~repro.fleet.events.EventBus.wait_async`).  With ``?poll=1`` the
-same route degrades to a single long-poll JSON response that any plain
-HTTP client (``curl``) can consume.
+:meth:`~repro.fleet.events.EventBus.wait`).  With ``?poll=1`` the same
+route degrades to a single long-poll JSON response that any plain HTTP
+client (``curl``) can consume.
 
 Routes (all under ``/v1``)::
 

@@ -3,11 +3,11 @@
 A thin transport over :class:`~repro.service.router.ApiRouter` on
 :class:`http.server.ThreadingHTTPServer` — no framework, no new
 dependencies.  All routing, validation, and error shaping lives in the
-router (shared with the asyncio front-end,
-:mod:`repro.service.async_server`); this module only parses requests,
-serializes responses, and drives SSE streams: an ``text/event-stream``
-subscription pins one handler thread that blocks on the service event
-bus and relays frames until the job ends or the client disconnects.
+router; this module only parses requests (refusing a body it should not
+read), serializes responses, and drives SSE streams: an
+``text/event-stream`` subscription pins one handler thread that blocks
+on the service event bus and relays frames until the job ends or the
+client disconnects.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
+from repro.errors import ServiceError
 from repro.obs.logging import get_logger
 from repro.service.router import (
     ApiRequest,
@@ -28,7 +29,8 @@ from repro.service.router import (
 )
 from repro.service.service import EvaluationService
 
-API_PREFIX = "/v1"  # re-exported for backwards compatibility
+#: Largest request body the server reads; a longer one is refused.
+MAX_BODY_BYTES = 256 * 1024 * 1024
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -62,13 +64,28 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         get_logger("service.http").debug(format, *args)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body; a ``Content-Length`` that is not an integer,
+        is negative or exceeds :data:`MAX_BODY_BYTES` is a 400 raised
+        before any body byte is read."""
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServiceError(f"invalid Content-Length {raw!r}", status=400)
+        if length > MAX_BODY_BYTES:
+            raise ServiceError("request body too large", status=400)
         return self.rfile.read(length) if length else b""
 
-    def _send_response(self, response: ApiResponse) -> None:
+    def _send_response(
+        self, response: ApiResponse, close: bool = False
+    ) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(response.body)
 
@@ -76,7 +93,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> None:
-        request = ApiRequest.from_target(method, self.path, self._read_body())
+        try:
+            body = self._read_body()
+        except ServiceError as exc:
+            # The body was never drained, so the connection cannot frame
+            # another request: answer, then close.
+            self._send_response(
+                ApiResponse.json(exc.status, {"error": str(exc)}), close=True
+            )
+            return
+        request = ApiRequest.from_target(method, self.path, body)
         outcome = self.router.handle(request)
         if isinstance(outcome, EventStreamResponse):
             self._stream_events(outcome)
@@ -86,9 +112,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _stream_events(self, stream: EventStreamResponse) -> None:
         """Relay bus events as SSE frames until end or disconnect.
 
-        This pins the handler thread for the stream's lifetime — fine
-        for the threaded front-end's scale; the asyncio front-end parks
-        a task instead.
+        This pins the handler thread for the stream's lifetime.
         """
         self.send_response(200)
         self.send_header("Content-Type", stream.content_type)

@@ -67,6 +67,7 @@ from repro.service.jobs import (
     STATE_RUNNING,
     new_job_id,
 )
+from repro.utils.durable import atomic_write
 
 #: ``engine_factory(spec) -> (engine, sampler)``; tests inject stubs here.
 EngineFactory = Callable[[CampaignSpec], Tuple[object, object]]
@@ -469,7 +470,7 @@ class EvaluationService:
                 # Torn create from a crash (directory without a spec):
                 # no chunk can have been logged yet, so materialize the
                 # spec and run fresh.
-                (run_path / SPEC_FILE).write_text(spec.to_json())
+                atomic_write(run_path / SPEC_FILE, spec.to_json())
                 store = RunStore(run_path)
             else:
                 store = RunStore.create(self.runs_dir, spec, run_id=job.run_id)

@@ -6,10 +6,10 @@ Layout of one sweep directory (``<root>/<sweep_id>/``)::
     points.jsonl  one JSON line per point event (submitted / state change)
     report.json   the canonical comparative report (atomic, written last)
 
-Mirrors the :class:`~repro.campaign.store.RunStore` durability idioms:
-the point log is fsynced before each append returns (a crash can at
-worst tear the final line, which replay discards), and the report is
-written tmp-then-rename so readers never observe a half-written file.
+The point log is a :class:`~repro.utils.durable.JsonlLog` (fsynced
+before each append returns), and ``sweep.json`` and the report are
+written with :func:`~repro.utils.durable.atomic_write`, so readers never
+observe a half-written file.
 
 The point log is *advisory* for correctness — resume does not replay it
 to decide what to submit.  A restarted sweep simply re-expands the spec
@@ -22,13 +22,13 @@ run), or an adopted resume (interrupted run).  The log exists so
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import uuid
 from typing import Dict, List, Optional, Union
 
 from repro.errors import SweepError
 from repro.sweep.spec import SweepSpec
+from repro.utils.durable import JsonlLog, atomic_write
 
 SWEEP_FILE = "sweep.json"
 POINTS_FILE = "points.jsonl"
@@ -40,6 +40,9 @@ class SweepStore:
 
     def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
+        self._points = JsonlLog(
+            self.path / POINTS_FILE, name="sweep point log", error=SweepError
+        )
 
     @property
     def sweep_id(self) -> str:
@@ -63,7 +66,7 @@ class SweepStore:
             )
         path.mkdir(parents=True, exist_ok=True)
         store = cls(path)
-        (path / SWEEP_FILE).write_text(spec.to_json())
+        atomic_write(path / SWEEP_FILE, spec.to_json())
         return store
 
     @classmethod
@@ -108,34 +111,15 @@ class SweepStore:
         ``payload`` must carry the point's ``label``; later events for
         the same label supersede earlier ones on read.
         """
-        line = json.dumps(payload, sort_keys=True)
-        with open(self.path / POINTS_FILE, "a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._points.append(payload)
 
     def read_points(self) -> Dict[str, dict]:
-        """Fold the point log into latest-state-per-label.
-
-        A torn final line (crash mid-append) is dropped, mirroring the
-        campaign chunk-log replay.
-        """
-        target = self.path / POINTS_FILE
-        if not target.exists():
-            return {}
+        """Fold the committed point log into latest-state-per-label."""
         out: Dict[str, dict] = {}
-        with open(target) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn final append
-                label = payload.get("label")
-                if label is not None:
-                    out[label] = {**out.get(label, {}), **payload}
+        for payload in self._points.replay():
+            label = payload.get("label")
+            if label is not None:
+                out[label] = {**out.get(label, {}), **payload}
         return out
 
     # ------------------------------------------------------------------
@@ -143,9 +127,7 @@ class SweepStore:
     # ------------------------------------------------------------------
     def write_report(self, text: str) -> None:
         """Atomically replace ``report.json`` with the canonical text."""
-        tmp = self.path / (REPORT_FILE + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(self.path / REPORT_FILE)
+        atomic_write(self.path / REPORT_FILE, text)
 
     def read_report_text(self) -> Optional[str]:
         target = self.path / REPORT_FILE

@@ -282,6 +282,8 @@ class TestHooksAndCheckpoints:
     def test_store_log_is_contiguous_prefix(self, tmp_path):
         store = RunStore.create(tmp_path, ADAPTIVE_SPEC, run_id="log")
         result = run_spec(ADAPTIVE_SPEC, store=store)
-        replayed = list(store.replay())
-        assert [index for index, _ in replayed] == list(range(len(replayed)))
-        assert sum(len(records) for _, records in replayed) == result.n_samples
+        replayed = list(store.replay_chunks())
+        assert [entry.index for entry in replayed] == list(
+            range(len(replayed))
+        )
+        assert sum(len(entry.records) for entry in replayed) == result.n_samples

@@ -68,14 +68,14 @@ class TestLogReplay:
         store = RunStore.create(tmp_path, CampaignSpec(), run_id="r")
         store.append_chunk(0, [make_record(1), make_record(0)])
         store.append_chunk(1, [make_record(0)])
-        replayed = list(store.replay())
-        assert [index for index, _ in replayed] == [0, 1]
-        assert [len(records) for _, records in replayed] == [2, 1]
-        assert replayed[0][1][0] == make_record(1)
+        replayed = list(store.replay_chunks())
+        assert [entry.index for entry in replayed] == [0, 1]
+        assert [len(entry.records) for entry in replayed] == [2, 1]
+        assert replayed[0].records[0] == make_record(1)
 
     def test_empty_log(self, tmp_path):
         store = RunStore.create(tmp_path, CampaignSpec(), run_id="r")
-        assert list(store.replay()) == []
+        assert list(store.replay_chunks()) == []
 
     def test_torn_final_append_discarded(self, tmp_path):
         """A crash mid-append leaves a truncated last line; replay must
@@ -86,14 +86,14 @@ class TestLogReplay:
         log = store.path / "log.jsonl"
         text = log.read_text()
         log.write_text(text + '{"chunk": 2, "records": [{"t"')
-        assert [index for index, _ in store.replay()] == [0, 1]
+        assert [entry.index for entry in store.replay_chunks()] == [0, 1]
 
     def test_non_contiguous_log_rejected(self, tmp_path):
         store = RunStore.create(tmp_path, CampaignSpec(), run_id="r")
         store.append_chunk(0, [make_record()])
         store.append_chunk(2, [make_record()])
         with pytest.raises(EvaluationError):
-            list(store.replay())
+            list(store.replay_chunks())
 
     def test_corrupt_interior_line_rejected(self, tmp_path):
         store = RunStore.create(tmp_path, CampaignSpec(), run_id="r")
@@ -101,7 +101,7 @@ class TestLogReplay:
         log = store.path / "log.jsonl"
         log.write_text("garbage\n" + log.read_text())
         with pytest.raises(EvaluationError):
-            list(store.replay())
+            list(store.replay_chunks())
 
 
 class TestMetricsPersistence:

@@ -1,11 +1,9 @@
-"""EventBus semantics: sequencing, ring buffer, blocking + async waits."""
+"""EventBus semantics: sequencing, ring buffer, blocking waits."""
 
-import asyncio
 import threading
 import time
 
 from repro.fleet import EventBus
-from repro.fleet.events import EVENT_END
 
 
 class TestPublishRead:
@@ -106,27 +104,3 @@ class TestBlockingWait:
         assert got == []
         assert elapsed >= 0.25
 
-
-class TestAsyncWait:
-    def test_wait_async_woken_from_publisher_thread(self):
-        bus = EventBus()
-
-        async def scenario():
-            loop = asyncio.get_event_loop()
-            def publish_later():
-                time.sleep(0.05)
-                bus.publish("t", {"type": EVENT_END})
-            loop.run_in_executor(None, publish_later)
-            return await bus.wait_async("t", 0, timeout_s=5)
-
-        got = asyncio.new_event_loop().run_until_complete(scenario())
-        assert [e["type"] for _, e in got] == [EVENT_END]
-
-    def test_wait_async_timeout(self):
-        bus = EventBus()
-
-        async def scenario():
-            return await bus.wait_async("t", 0, timeout_s=0.05)
-
-        got = asyncio.new_event_loop().run_until_complete(scenario())
-        assert got == []

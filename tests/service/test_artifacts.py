@@ -1,6 +1,7 @@
 """Content-addressed artifact store: keying, atomicity, cache hits."""
 
 import json
+import threading
 
 import pytest
 
@@ -60,6 +61,38 @@ class TestEnsure:
             path.write_text("{}")
 
         path, _ = store.ensure("k", builder, design="d")
+        assert list(path.parent.glob("*.tmp")) == []
+
+    def test_concurrent_misses_on_one_key_both_build(self, store):
+        """Two builders in flight at once (``serve --jobs 2``, two points
+        of one variant) must not share a temporary file."""
+        both_inside = threading.Barrier(2)
+
+        def builder(path):
+            with open(path, "w") as fh:
+                fh.write('{"n": ')
+                fh.flush()
+                both_inside.wait(timeout=10)
+                fh.write("1}")
+
+        results, errors = [], []
+
+        def miss():
+            try:
+                results.append(store.ensure("k", builder, design="d"))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=miss) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        assert [hit for _, hit in results] == [False, False]
+        (path, _), _ = results
+        assert json.loads(path.read_text()) == {"n": 1}
         assert list(path.parent.glob("*.tmp")) == []
 
 

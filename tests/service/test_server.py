@@ -39,6 +39,27 @@ def client(server):
     return ServiceClient(server.url)
 
 
+def raw_post(server, content_length: bytes) -> bytes:
+    """Send a bodiless ``POST /v1/chunks`` with the given Content-Length
+    header and read the reply until the server closes the connection."""
+    import socket
+
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /v1/chunks HTTP/1.1\r\n"
+            b"Content-Length: " + content_length + b"\r\n"
+            b"\r\n"
+        )
+        chunks = []
+        while True:
+            data = sock.recv(4096)
+            if not data:
+                break
+            chunks.append(data)
+    return b"".join(chunks)
+
+
 class TestEndToEnd:
     def test_submit_poll_result_report(self, client):
         response = client.submit(SPEC)
@@ -153,6 +174,19 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+
+    def test_oversized_body_answered_with_400_not_reset(self, server):
+        """A Content-Length past the cap must get a real HTTP 400, not a
+        bare connection close."""
+        response = raw_post(server, b"999999999999")
+        assert response.startswith(b"HTTP/1.1 400")
+        assert b"request body too large" in response
+
+    @pytest.mark.parametrize("length", [b"-5", b"lots"])
+    def test_malformed_content_length_400(self, server, length):
+        response = raw_post(server, length)
+        assert response.startswith(b"HTTP/1.1 400")
+        assert b"invalid Content-Length" in response
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

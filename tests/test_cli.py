@@ -67,6 +67,13 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    def test_async_io_flag_is_gone(self):
+        """One HTTP server: the asyncio front-end's flag is an argparse
+        error."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--async-io"])
+        assert excinfo.value.code == 2
+
     def test_all_benchmarks_registered(self):
         assert set(BENCHMARKS) == {"write", "read", "dma"}
 
