@@ -15,12 +15,17 @@ Two budgets, one workload (Fig. 9):
    telemetry pipeline must cost < 5% against the same worker loop with
    shipping disabled.
 
-Runs are interleaved (plain, observed, plain, observed, ...) so clock
-drift and cache warm-up hit both variants equally, and compared on the
-min-of-N wall time — the standard way to strip scheduler noise from a
-throughput measurement.
+Each side runs on an engine of its own, and the two are timed in
+interleaved pairs.  Pair ``i`` runs both sides on seed ``FIRST_SEED +
+i``: the same work on both sides, and work neither engine has done
+before, so the timed runs draw, simulate and classify instead of
+answering from the outcome memo a repeated seed would fill.  Each pair
+alternates which side goes first, and the guard compares the median of
+the per-pair ratios: host noise that hits one run of one pair moves one
+ratio, not the verdict.
 """
 
+import statistics
 import time
 
 from repro import (
@@ -30,8 +35,10 @@ from repro import (
 )
 from repro.obs.tracing import NULL_TRACER
 
-N_SAMPLES = 400
-REPEATS = 5
+N_SAMPLES = 1500
+PAIRS = 15
+FIRST_SEED = 1000
+WARMUP_SEED = 77
 MAX_OVERHEAD = 0.03
 MAX_FLEET_OVERHEAD = 0.05
 
@@ -47,10 +54,37 @@ def build(context, observe):
     return engine, sampler
 
 
-def timed_run(engine, sampler):
+def timed_run(engine, sampler, seed):
     start = time.perf_counter()
-    result = engine.evaluate(sampler, N_SAMPLES, seed=77)
+    result = engine.evaluate(sampler, N_SAMPLES, seed=seed)
     return time.perf_counter() - start, result
+
+
+def paired_runs(run_plain, run_observed):
+    """Time ``PAIRS`` interleaved pairs; returns the per-pair
+    ``(plain_s, observed_s)`` and the last pair's two results.
+
+    ``run_*(seed) -> (seconds, result, ...)``.  Pair ``i`` gives both
+    sides seed ``FIRST_SEED + i``, and odd pairs run the observed side
+    first.
+    """
+    times = []
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
+        if i % 2:
+            observed = run_observed(seed)
+            plain = run_plain(seed)
+        else:
+            plain = run_plain(seed)
+            observed = run_observed(seed)
+        # The two sides must describe the same work, pair by pair.
+        assert observed[1].ssf == plain[1].ssf
+        times.append((plain[0], observed[0]))
+    return times, plain, observed
+
+
+def median_overhead(times) -> float:
+    return statistics.median(obs / plain for plain, obs in times) - 1.0
 
 
 def test_noop_observability_overhead_under_budget(write_context, emit):
@@ -58,33 +92,31 @@ def test_noop_observability_overhead_under_budget(write_context, emit):
     obs_engine, obs_sampler = build(write_context, observe=True)
 
     # Warm caches (golden state, characterization lookups) off the clock.
-    timed_run(plain_engine, plain_sampler)
-    timed_run(obs_engine, obs_sampler)
+    timed_run(plain_engine, plain_sampler, WARMUP_SEED)
+    timed_run(obs_engine, obs_sampler, WARMUP_SEED)
 
-    plain_times, obs_times = [], []
-    for _ in range(REPEATS):
-        seconds, plain_result = timed_run(plain_engine, plain_sampler)
-        plain_times.append(seconds)
-        seconds, obs_result = timed_run(obs_engine, obs_sampler)
-        obs_times.append(seconds)
+    times, (_, plain_result), (_, obs_result) = paired_runs(
+        lambda seed: timed_run(plain_engine, plain_sampler, seed),
+        lambda seed: timed_run(obs_engine, obs_sampler, seed),
+    )
 
     # Observability must not change the estimate, only describe it.
     assert obs_result.ssf == plain_result.ssf
     assert plain_result.metrics is None
     assert obs_result.metrics is not None
 
-    best_plain = min(plain_times)
-    best_obs = min(obs_times)
-    overhead = best_obs / best_plain - 1.0
+    overhead = median_overhead(times)
 
     emit(
         "obs_overhead",
         "\n".join(
             [
                 "No-op observability overhead "
-                f"({N_SAMPLES} samples, min of {REPEATS})",
-                f"  unobserved engine : {best_plain:.3f} s",
-                f"  observed (default): {best_obs:.3f} s",
+                f"({N_SAMPLES} samples, median of {PAIRS} paired ratios)",
+                "  unobserved engine : "
+                f"{statistics.median(p for p, _ in times):.3f} s (median)",
+                "  observed (default): "
+                f"{statistics.median(o for _, o in times):.3f} s (median)",
                 f"  overhead          : {100 * overhead:+.2f} % "
                 f"(budget {100 * MAX_OVERHEAD:.0f} %)",
             ]
@@ -96,7 +128,7 @@ def test_noop_observability_overhead_under_budget(write_context, emit):
     )
 
 
-def fleet_chunk(engine, sampler, telemetry):
+def fleet_chunk(engine, sampler, telemetry, seed):
     """One worker-side chunk turn: evaluate, and (optionally) run the
     full telemetry pipeline — recording tracer on the engine, chunk
     span, log record, and the shipped bundle build — exactly what
@@ -112,7 +144,7 @@ def fleet_chunk(engine, sampler, telemetry):
         obs = _ChunkObs("bench-worker", grant, lease_wait_s=0.01)
         engine.tracer = obs.tracer
     start = time.perf_counter()
-    result = engine.evaluate(sampler, N_SAMPLES, seed=77)
+    result = engine.evaluate(sampler, N_SAMPLES, seed=seed)
     duration_s = time.perf_counter() - start
     bundle = None
     if obs is not None:
@@ -128,22 +160,19 @@ def fleet_chunk(engine, sampler, telemetry):
 
 
 def test_fleet_telemetry_overhead_under_budget(write_context, emit):
-    engine, sampler = build(write_context, observe=True)
+    # One engine per side, so a pair's second run cannot answer from
+    # the outcome memo its first run filled.
+    plain_engine, plain_sampler = build(write_context, observe=True)
+    obs_engine, obs_sampler = build(write_context, observe=True)
 
     # Warm caches off the clock.
-    fleet_chunk(engine, sampler, telemetry=False)
-    fleet_chunk(engine, sampler, telemetry=True)
+    fleet_chunk(plain_engine, plain_sampler, False, WARMUP_SEED)
+    fleet_chunk(obs_engine, obs_sampler, True, WARMUP_SEED)
 
-    plain_times, shipped_times = [], []
-    for _ in range(REPEATS):
-        seconds, plain_result, _ = fleet_chunk(
-            engine, sampler, telemetry=False
-        )
-        plain_times.append(seconds)
-        seconds, shipped_result, bundle = fleet_chunk(
-            engine, sampler, telemetry=True
-        )
-        shipped_times.append(seconds)
+    times, (_, plain_result, _), (_, shipped_result, bundle) = paired_runs(
+        lambda seed: fleet_chunk(plain_engine, plain_sampler, False, seed),
+        lambda seed: fleet_chunk(obs_engine, obs_sampler, True, seed),
+    )
 
     # Telemetry describes the work without changing it, and the bundle
     # actually carries the correlated spans it promises.
@@ -154,18 +183,18 @@ def test_fleet_telemetry_overhead_under_budget(write_context, emit):
     )
     assert bundle["logs"], "telemetry run must ship log records"
 
-    best_plain = min(plain_times)
-    best_shipped = min(shipped_times)
-    overhead = best_shipped / best_plain - 1.0
+    overhead = median_overhead(times)
 
     emit(
         "obs_fleet_overhead",
         "\n".join(
             [
                 "Fleet telemetry-shipping overhead "
-                f"({N_SAMPLES} samples, min of {REPEATS})",
-                f"  no shipping       : {best_plain:.3f} s",
-                f"  tracer + bundle   : {best_shipped:.3f} s",
+                f"({N_SAMPLES} samples, median of {PAIRS} paired ratios)",
+                "  no shipping       : "
+                f"{statistics.median(p for p, _ in times):.3f} s (median)",
+                "  tracer + bundle   : "
+                f"{statistics.median(o for _, o in times):.3f} s (median)",
                 f"  spans in bundle   : {len(bundle['spans'])}",
                 f"  overhead          : {100 * overhead:+.2f} % "
                 f"(budget {100 * MAX_FLEET_OVERHEAD:.0f} %)",

@@ -96,10 +96,31 @@ class CampaignSpec:
     stopping: StoppingConfig = field(default_factory=StoppingConfig)
 
     def __post_init__(self) -> None:
+        from repro.sampling import SAMPLERS
+        from repro.soc.mpu import MpuVariant
+        from repro.soc.programs import BENCHMARKS
+
+        # Checked where a spec enters (CLI flags, a service request, a
+        # sweep point), so a value the runtime would reject, or would
+        # clamp while hashing it apart, is refused before it reaches a
+        # queue.
+        if self.benchmark not in BENCHMARKS:
+            raise EvaluationError(f"unknown benchmark {self.benchmark!r}")
+        if not isinstance(self.variant, str):
+            raise EvaluationError(
+                f"variant must be a name, got {self.variant!r}"
+            )
+        MpuVariant.parse(self.variant)
+        if self.sampler not in SAMPLERS:
+            raise EvaluationError(f"unknown sampler {self.sampler!r}")
+        if self.window < 1:
+            raise EvaluationError("window must be at least 1 cycle")
+        if self.impact_cycles < 1:
+            raise EvaluationError("impact_cycles must be at least 1")
+        if not 0 < self.subblock_fraction <= 1:
+            raise EvaluationError("subblock_fraction must be in (0, 1]")
         if self.chunk_size <= 0:
             raise EvaluationError("chunk_size must be positive")
-        if self.sampler not in ("random", "cone", "importance"):
-            raise EvaluationError(f"unknown sampler {self.sampler!r}")
 
     # ------------------------------------------------------------------
     # serialization
@@ -150,63 +171,67 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # runtime construction
     # ------------------------------------------------------------------
+    def build_context(self):
+        """The evaluation context of this spec's benchmark and variant.
+
+        With ``charac_cache`` unset the pre-characterization runs in
+        process; otherwise it is loaded from that file (written by
+        ``repro characterize`` or the artifact store).  A path that does
+        not exist raises :class:`EvaluationError` naming it, before any
+        build work: a mistyped path must not turn into a silent
+        re-characterization.
+
+        Imports here and in :meth:`build_runtime` are local: the spec
+        itself stays cheap to import for tooling that only inspects run
+        metadata.
+        """
+        from repro.core.context import build_context
+        from repro.soc.mpu import MpuVariant
+        from repro.soc.programs import BENCHMARKS
+
+        benchmark = BENCHMARKS[self.benchmark]()
+        variant = MpuVariant.parse(self.variant)
+        if not self.charac_cache:
+            return build_context(benchmark, mpu_variant=variant)
+        path = pathlib.Path(self.charac_cache)
+        if not path.exists():
+            raise EvaluationError(
+                f"pre-characterization cache {str(path)!r} does not exist "
+                f"(write it with `repro characterize --out {path}`)"
+            )
+        from repro.precharac.persistence import load_characterization
+
+        context = build_context(
+            benchmark, characterize=False, mpu_variant=variant
+        )
+        context.characterization = load_characterization(path, context.netlist)
+        return context
+
     def build_runtime(self):
         """Build the (engine, sampler) pair this spec describes.
 
-        Imports are local: the spec itself stays importable (and cheap)
-        for tooling that only inspects run metadata.
+        This is the one place a spec's names and artifact paths become a
+        runtime: the CLI verbs, the service, fleet workers and replay
+        build through it (``repro characterize`` through
+        :meth:`build_context` alone).
         """
         from repro import default_attack_spec
-        from repro.core.context import build_cached_context
         from repro.core.engine import CrossLevelEngine
-        from repro.sampling import (
-            FaninConeSampler,
-            ImportanceSampler,
-            RandomSampler,
-        )
-        from repro.soc.mpu import MpuVariant
-        from repro.soc.programs import (
-            dma_exfiltration_benchmark,
-            illegal_read_benchmark,
-            illegal_write_benchmark,
-        )
+        from repro.sampling import make_sampler
 
-        benchmarks = {
-            "write": illegal_write_benchmark,
-            "read": illegal_read_benchmark,
-            "dma": dma_exfiltration_benchmark,
-        }
-        if self.benchmark not in benchmarks:
-            raise EvaluationError(f"unknown benchmark {self.benchmark!r}")
-        context = build_cached_context(
-            benchmarks[self.benchmark](),
-            mpu_variant=MpuVariant.parse(self.variant),
-            charac_cache=self.charac_cache,
-        )
-
+        context = self.build_context()
         attack = default_attack_spec(
             context,
             window=self.window,
             subblock_fraction=self.subblock_fraction,
         )
-        if self.impact_cycles > 1:
-            attack.technique.impact_cycles = self.impact_cycles
+        attack.technique.impact_cycles = self.impact_cycles
         engine = CrossLevelEngine(
             context,
             attack,
             baseline_store=self._build_baseline_store(context),
         )
-        engine.warm_baseline_cache()
-
-        if self.sampler == "random":
-            sampler = RandomSampler(attack)
-        elif self.sampler == "cone":
-            sampler = FaninConeSampler(attack, context.characterization)
-        else:
-            sampler = ImportanceSampler(
-                attack, context.characterization, placement=context.placement
-            )
-        return engine, sampler
+        return engine, make_sampler(self.sampler, attack, context)
 
     def _build_baseline_store(self, context):
         """The persistent cycle-baseline store, or None when unset.

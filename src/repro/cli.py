@@ -29,53 +29,17 @@ import argparse
 import json
 import sys
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.reporting import format_table
+from repro.sampling import SAMPLERS
 from repro.soc.mpu import MpuVariant
-from repro.soc.programs import (
-    BenchmarkProgram,
-    dma_exfiltration_benchmark,
-    illegal_read_benchmark,
-    illegal_write_benchmark,
-)
-
-BENCHMARKS: Dict[str, Callable[[], BenchmarkProgram]] = {
-    "write": illegal_write_benchmark,
-    "read": illegal_read_benchmark,
-    "dma": dma_exfiltration_benchmark,
-}
+from repro.soc.programs import BENCHMARKS
 
 
 def _parse_variant(text: str) -> MpuVariant:
     """'none', 'parity', 'dual', 'dual+parity', 'tmr', 'tmr+parity'."""
     return MpuVariant.parse(text)
-
-
-def _build_context(args):
-    from repro.core.context import build_cached_context
-
-    return build_cached_context(
-        BENCHMARKS[args.benchmark](),
-        mpu_variant=_parse_variant(getattr(args, "variant", "none")),
-        charac_cache=getattr(args, "charac_cache", None),
-    )
-
-
-def _make_sampler(name: str, spec, context):
-    from repro.sampling import (
-        FaninConeSampler,
-        ImportanceSampler,
-        RandomSampler,
-    )
-
-    if name == "random":
-        return RandomSampler(spec)
-    if name == "cone":
-        return FaninConeSampler(spec, context.characterization)
-    return ImportanceSampler(
-        spec, context.characterization, placement=context.placement
-    )
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +115,7 @@ def cmd_characterize(args) -> int:
     from repro.precharac.persistence import save_characterization
 
     print("Building context + pre-characterization...", file=sys.stderr)
-    context = _build_context(args)
+    context = _design_spec(args).build_context()
     save_characterization(context.characterization, args.out)
     ch = context.characterization
     rows = [
@@ -166,15 +130,11 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_harden(args) -> int:
-    from repro import default_attack_spec
-    from repro.core.engine import CrossLevelEngine
     from repro.core.hardening import HardeningStudy, attribute_ssf, critical_bits
 
     print("Building evaluation context...", file=sys.stderr)
-    context = _build_context(args)
-    spec = default_attack_spec(context, window=args.window)
-    engine = CrossLevelEngine(context, spec)
-    sampler = _make_sampler("importance", spec, context)
+    engine, sampler = _design_spec(args).build_runtime()
+    context = engine.context
     print(f"Running {args.samples} samples...", file=sys.stderr)
     result = engine.evaluate(sampler, args.samples, seed=args.seed)
     oracle = engine.outcome_oracle()
@@ -197,14 +157,10 @@ def cmd_harden(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from repro import default_attack_spec
-    from repro.core.engine import CrossLevelEngine
     from repro.core.exhaustive import enumerate_single_bit_faults
 
     print("Building evaluation context...", file=sys.stderr)
-    context = _build_context(args)
-    spec = default_attack_spec(context, window=args.window)
-    engine = CrossLevelEngine(context, spec)
+    engine, _ = _design_spec(args).build_runtime()
     print("Enumerating single-bit register faults...", file=sys.stderr)
     result = enumerate_single_bit_faults(engine)
     rows = [
@@ -280,6 +236,19 @@ def _campaign_result_rows(spec, store, result) -> list:
     if checkpoint.get("stop_reason"):
         rows.append(["stop reason", checkpoint["stop_reason"]])
     return rows
+
+
+def _design_spec(args):
+    """The spec of a verb that takes only the common flags (characterize,
+    harden, enumerate): every other field keeps its spec default."""
+    from repro.campaign import CampaignSpec
+
+    return CampaignSpec(
+        benchmark=args.benchmark,
+        variant=_parse_variant(args.variant).name,
+        window=args.window,
+        charac_cache=args.charac_cache,
+    )
 
 
 def _campaign_spec_from_args(args, stopping=None, chunk_size=None):
@@ -1030,9 +999,36 @@ def _add_common(parser: argparse.ArgumentParser, with_sampler: bool = True) -> N
     if with_sampler:
         parser.add_argument(
             "--sampler",
-            choices=("random", "cone", "importance"),
+            choices=SAMPLERS,
             default="importance",
         )
+
+
+def _add_attack_shape(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--subblock", type=float, default=0.125,
+                        help="fraction of the MPU the attacker can aim at")
+    parser.add_argument("--impact-cycles", type=int, default=1,
+                        help="consecutive cycles disturbed per injection")
+
+
+def _add_stopping(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--stop", choices=("fixed", "risk", "ci"),
+                        default="fixed",
+                        help="stopping rule: fixed N, (eps, delta) risk "
+                        "target, or Wilson CI width")
+    parser.add_argument("--epsilon", type=float, default=0.02,
+                        help="risk mode: absolute SSF error target")
+    parser.add_argument("--delta", type=float, default=0.05,
+                        help="risk mode: failure probability")
+    parser.add_argument("--ci-width", type=float, default=0.05,
+                        help="ci mode: Wilson interval width target")
+    parser.add_argument("--min-samples", type=int, default=200,
+                        help="adaptive modes: samples before first stop "
+                        "check")
+    parser.add_argument("--max-samples", type=int, default=100_000,
+                        help="adaptive modes: hard sample cap")
+    parser.add_argument("--chunk-size", type=int, default=50,
+                        help="samples per work-stealing chunk")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1049,10 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="estimate the SSF of a benchmark")
     _add_common(p)
-    p.add_argument("--subblock", type=float, default=0.125,
-                   help="fraction of the MPU the attacker can aim at")
-    p.add_argument("--impact-cycles", type=int, default=1,
-                   help="consecutive cycles disturbed per injection")
+    _add_attack_shape(p)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (fork platforms)")
     p.add_argument("--baseline-store", default=None, metavar="DIR",
@@ -1092,28 +1085,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = campaign_sub.add_parser("run", help="start a durable campaign")
     _add_common(pr)
-    pr.add_argument("--subblock", type=float, default=0.125,
-                    help="fraction of the MPU the attacker can aim at")
-    pr.add_argument("--impact-cycles", type=int, default=1,
-                    help="consecutive cycles disturbed per injection")
+    _add_attack_shape(pr)
     pr.add_argument("--workers", type=int, default=1,
                     help="parallel worker processes (fork platforms)")
-    pr.add_argument("--stop", choices=("fixed", "risk", "ci"),
-                    default="fixed",
-                    help="stopping rule: fixed N, (eps, delta) risk "
-                    "target, or Wilson CI width")
-    pr.add_argument("--epsilon", type=float, default=0.02,
-                    help="risk mode: absolute SSF error target")
-    pr.add_argument("--delta", type=float, default=0.05,
-                    help="risk mode: failure probability")
-    pr.add_argument("--ci-width", type=float, default=0.05,
-                    help="ci mode: Wilson interval width target")
-    pr.add_argument("--min-samples", type=int, default=200,
-                    help="adaptive modes: samples before first stop check")
-    pr.add_argument("--max-samples", type=int, default=100_000,
-                    help="adaptive modes: hard sample cap")
-    pr.add_argument("--chunk-size", type=int, default=50,
-                    help="samples per work-stealing chunk")
+    _add_stopping(pr)
     pr.add_argument("--runs-dir", default="runs",
                     help="directory holding durable run state")
     pr.add_argument("--run-id", default=None,
@@ -1257,9 +1232,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "results (shipping is always non-semantic: the "
                    "estimate is identical either way)")
     p.add_argument("--artifacts-dir", default=None, metavar="DIR",
-                   help="local artifact-store root for persistent "
-                   "per-cycle baselines (warm-starts the engine on "
-                   "every leased chunk; never changes results)")
+                   help="local artifact-store root for the "
+                   "pre-characterization and persistent per-cycle "
+                   "baselines (each design is characterized once per "
+                   "root; never changes results)")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("fleet", help="fleet introspection verbs")
@@ -1297,16 +1273,8 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a campaign spec to a running service"
     )
     _add_common(p)
-    p.add_argument("--subblock", type=float, default=0.125)
-    p.add_argument("--impact-cycles", type=int, default=1)
-    p.add_argument("--stop", choices=("fixed", "risk", "ci"),
-                   default="fixed")
-    p.add_argument("--epsilon", type=float, default=0.02)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--ci-width", type=float, default=0.05)
-    p.add_argument("--min-samples", type=int, default=200)
-    p.add_argument("--max-samples", type=int, default=100_000)
-    p.add_argument("--chunk-size", type=int, default=50)
+    _add_attack_shape(p)
+    _add_stopping(p)
     p.add_argument("--priority", type=int, default=0,
                    help="higher-priority jobs run first")
     p.add_argument("--wait", action="store_true",

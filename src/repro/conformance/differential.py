@@ -226,19 +226,11 @@ def _check_sampler(
 def build_samplers(built: BuiltDesign):
     """The (name, sampler) pairs the harness compares: uniform draws from
     ``f`` and the paper's two-step importance sampler."""
-    from repro.sampling import ImportanceSampler, RandomSampler
+    from repro.sampling import make_sampler
 
-    context = built.context
     return (
-        ("uniform", RandomSampler(built.spec)),
-        (
-            "importance",
-            ImportanceSampler(
-                built.spec,
-                context.characterization,
-                placement=context.placement,
-            ),
-        ),
+        ("uniform", make_sampler("random", built.spec, built.context)),
+        ("importance", make_sampler("importance", built.spec, built.context)),
     )
 
 

@@ -56,21 +56,12 @@ class ConformanceDesign:
         from repro.core.context import build_context
         from repro.precharac.characterization import CharacterizationConfig
         from repro.soc.mpu import MpuVariant
-        from repro.soc.programs import (
-            dma_exfiltration_benchmark,
-            illegal_read_benchmark,
-            illegal_write_benchmark,
-        )
+        from repro.soc.programs import BENCHMARKS
 
-        benchmarks = {
-            "write": illegal_write_benchmark,
-            "read": illegal_read_benchmark,
-            "dma": dma_exfiltration_benchmark,
-        }
-        if self.benchmark not in benchmarks:
+        if self.benchmark not in BENCHMARKS:
             raise EvaluationError(f"unknown benchmark {self.benchmark!r}")
         return build_context(
-            benchmarks[self.benchmark](),
+            BENCHMARKS[self.benchmark](),
             mpu_variant=MpuVariant.parse(self.variant),
             charac_config=CharacterizationConfig(
                 max_frame=max(self.max_frame, self.window),

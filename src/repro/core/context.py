@@ -1,7 +1,8 @@
 """Evaluation context: everything wired together for one benchmark.
 
 :func:`build_context` performs the framework's setup stages once
-(:func:`build_cached_context` loads step 4 from a saved file instead):
+(:meth:`repro.campaign.spec.CampaignSpec.build_context` skips step 4 and
+loads a saved pre-characterization instead):
 
 1. elaborate the MPU netlist and place it;
 2. golden-run the benchmark with checkpoints and the MPU port trace;
@@ -9,14 +10,14 @@
    access);
 4. optionally run the full pre-characterization on a synthetic workload.
 
-The resulting :class:`EvaluationContext` is immutable from the engine's
-point of view and can be shared by many campaigns (different samplers,
-attack specs, hardening what-ifs).
+Build one :class:`EvaluationContext` per engine.  The engine restarts,
+steps and injects faults into ``context.soc`` and ``context.simulator``,
+so two engines sharing a context would corrupt each other's runs; the
+service, for one, builds a fresh context for every job.
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,7 +46,7 @@ from repro.soc.soc import Soc
 
 @dataclass
 class EvaluationContext:
-    """Shared, read-only state for SSF campaigns on one benchmark."""
+    """One engine's design, golden run and live simulator for one benchmark."""
 
     memmap: MemoryMap
     benchmark: BenchmarkProgram
@@ -181,31 +182,3 @@ def build_context(
         mpu_variant=mpu_variant,
     )
 
-
-def build_cached_context(
-    benchmark: BenchmarkProgram,
-    mpu_variant: MpuVariant = BASELINE_VARIANT,
-    charac_cache: Optional[str] = None,
-) -> EvaluationContext:
-    """:func:`build_context`, loading a saved pre-characterization.
-
-    ``charac_cache`` names a file written by ``repro characterize``; it
-    replaces the in-process characterization.  A path that does not exist
-    raises :class:`EvaluationError` naming it, before any build work: a
-    mistyped path must not turn into a silent re-characterization.
-    """
-    if not charac_cache:
-        return build_context(benchmark, mpu_variant=mpu_variant)
-    path = pathlib.Path(charac_cache)
-    if not path.exists():
-        raise EvaluationError(
-            f"pre-characterization cache {str(path)!r} does not exist "
-            f"(write it with `repro characterize --out {path}`)"
-        )
-    from repro.precharac.persistence import load_characterization
-
-    context = build_context(
-        benchmark, characterize=False, mpu_variant=mpu_variant
-    )
-    context.characterization = load_characterization(path, context.netlist)
-    return context

@@ -364,29 +364,6 @@ class CrossLevelEngine:
             return (0, 0)
         return (self.baseline_store.hits, self.baseline_store.misses)
 
-    def warm_baseline_cache(self) -> int:
-        """Pre-load persisted cycle baselines into the LRU; returns count.
-
-        Called at campaign start (``CampaignSpec.build_runtime``) so the
-        first chunk already runs against warm state; each loaded cycle
-        counts as a store hit.  Cycles absent from the store are left to
-        the lazy path — probing them is not a demand miss.
-        """
-        store = self.baseline_store
-        if store is None:
-            return 0
-        loaded = 0
-        for cycle in range(self.context.n_cycles):
-            if len(self._cycle_cache) >= self.config.baseline_cache_size:
-                break
-            if cycle in self._cycle_cache:
-                continue
-            state = store.load(cycle, probe=True)
-            if state is not None:
-                self._insert_cycle_state(cycle, state)
-                loaded += 1
-        return loaded
-
     def _report_store_traffic(self, registry: MetricsRegistry) -> None:
         """Forward baseline-store counter deltas into ``registry``."""
         store = self.baseline_store

@@ -27,7 +27,7 @@ from repro.core.context import EvaluationContext, build_context
 from repro.core.engine import CrossLevelEngine
 from repro.core.results import CampaignResult
 from repro.precharac.characterization import CharacterizationConfig
-from repro.sampling import FaninConeSampler, ImportanceSampler, RandomSampler
+from repro.sampling import SAMPLERS, make_sampler
 from repro.soc.mpu import MpuVariant
 from repro.soc.programs import BenchmarkProgram
 
@@ -79,7 +79,7 @@ class CountermeasureStudy:
         charac_config: Optional[CharacterizationConfig] = None,
         spec_kwargs: Optional[dict] = None,
     ):
-        if sampler not in ("random", "cone", "importance"):
+        if sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {sampler!r}")
         self.benchmark_factory = benchmark_factory
         self.variants = list(variants or STANDARD_VARIANTS)
@@ -89,15 +89,6 @@ class CountermeasureStudy:
         self.sampler = sampler
         self.charac_config = charac_config
         self.spec_kwargs = dict(spec_kwargs or {})
-
-    def _make_sampler(self, spec, context):
-        if self.sampler == "random":
-            return RandomSampler(spec)
-        if self.sampler == "cone":
-            return FaninConeSampler(spec, context.characterization)
-        return ImportanceSampler(
-            spec, context.characterization, placement=context.placement
-        )
 
     def evaluate_variant(self, variant: MpuVariant) -> CountermeasureResult:
         from repro import default_attack_spec  # local: avoids import cycle
@@ -112,7 +103,7 @@ class CountermeasureStudy:
             context, window=self.window, **self.spec_kwargs
         )
         engine = CrossLevelEngine(context, spec)
-        sampler = self._make_sampler(spec, context)
+        sampler = make_sampler(self.sampler, spec, context)
         campaign = engine.evaluate(sampler, self.n_samples, seed=self.seed)
         wall = time.perf_counter() - start
         return CountermeasureResult(

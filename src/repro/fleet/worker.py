@@ -172,10 +172,10 @@ class FleetWorker:
         self.engine_factory = engine_factory
         self.max_chunks = max_chunks
         self.telemetry = telemetry
-        # Local ArtifactStore root for persistent cycle baselines: leased
-        # specs without a baseline_store get this one, so a worker
-        # re-attached to the same machine warm-starts golden state across
-        # campaigns and restarts (``repro worker --artifacts-dir``).
+        # Local ArtifactStore root (``repro worker --artifacts-dir``):
+        # leased specs take their unset pre-characterization and
+        # cycle-baseline paths from it, so a worker characterizes each
+        # design once across campaigns and restarts.
         self.artifacts_dir = artifacts_dir
         self.chunks_completed = 0
         self.chunks_rejected = 0
@@ -404,17 +404,14 @@ class FleetWorker:
                 )
 
     def _runtime_for(self, grant: dict):
-        import dataclasses
-
         from repro.campaign.spec_hash import spec_hash
+        from repro.service.artifacts import ArtifactStore, resolve_artifacts
 
         spec = CampaignSpec.from_dict(grant["spec"])
-        if self.artifacts_dir and spec.baseline_store is None:
-            # Worker-side store warm-up: baseline_store is non-semantic,
-            # so the digest (and the posted result identity) is unchanged.
-            spec = dataclasses.replace(
-                spec, baseline_store=str(self.artifacts_dir)
-            )
+        if self.artifacts_dir and self.engine_factory is None:
+            # Artifact paths are non-semantic, so the digest (and the
+            # posted result identity) is unchanged.
+            spec = resolve_artifacts(spec, ArtifactStore(self.artifacts_dir))
         digest = spec_hash(spec)
         cached = self._runtimes.get(digest)
         cache_hit = cached is not None

@@ -96,26 +96,39 @@ def ensure_precharac(
     if builder is None:
 
         def builder(path: pathlib.Path) -> None:
-            from repro.core.context import build_context
+            from repro.campaign.spec import CampaignSpec
             from repro.precharac.persistence import save_characterization
-            from repro.soc.programs import (
-                dma_exfiltration_benchmark,
-                illegal_read_benchmark,
-                illegal_write_benchmark,
-            )
 
-            benchmarks = {
-                "write": illegal_write_benchmark,
-                "read": illegal_read_benchmark,
-                "dma": dma_exfiltration_benchmark,
-            }
-            context = build_context(
-                benchmarks[benchmark](), mpu_variant=MpuVariant.parse(variant)
-            )
+            context = CampaignSpec(
+                benchmark=benchmark, variant=variant
+            ).build_context()
             save_characterization(context.characterization, path)
 
     return store.ensure(
         KIND_PRECHARAC, builder, benchmark=benchmark, variant=name
+    )
+
+
+def resolve_artifacts(spec, store: ArtifactStore):
+    """``spec`` with its unset artifact paths taken from ``store``.
+
+    The service and fleet workers both build through this: the
+    pre-characterization of the spec's (benchmark, variant) is computed
+    once per store (:func:`ensure_precharac`) and loaded by every later
+    build, and cycle baselines persist in the same store.  Both paths
+    are non-semantic, so the spec hash — and with it result caching,
+    dedup and resume identity — is unchanged.
+    """
+    import dataclasses
+
+    charac_cache, baseline_store = spec.charac_cache, spec.baseline_store
+    if charac_cache is None:
+        path, _ = ensure_precharac(store, spec.benchmark, spec.variant)
+        charac_cache = str(path)
+    if baseline_store is None:
+        baseline_store = str(store.root)
+    return dataclasses.replace(
+        spec, charac_cache=charac_cache, baseline_store=baseline_store
     )
 
 
@@ -180,15 +193,14 @@ class CycleBaselineStore:
             cycle=cycle,
         )
 
-    def load(self, cycle: int, probe: bool = False):
-        """Return ``(entry, post_step, baseline)`` or None.
+    def load(self, cycle: int):
+        """Return ``(entry, post_step, baseline)`` or None (a miss).
 
-        ``probe=True`` (the LRU warm-up path) does not count an absent
-        artifact as a miss — no demand existed yet.  An artifact whose
-        embedded fingerprint or precharacterization version disagrees
-        with this store's is rejected (counted, and a demand miss), so a
-        stale baseline can only ever cost a recompute, never a wrong
-        SSF.
+        The engine calls this on an LRU miss, so every call is demand.
+        An artifact whose embedded fingerprint or precharacterization
+        version disagrees with this store's is rejected (counted, and a
+        miss), so a stale baseline can only ever cost a recompute, never
+        a wrong SSF.
         """
         import numpy as np
 
@@ -200,8 +212,7 @@ class CycleBaselineStore:
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
-            if not probe:
-                self.misses += 1
+            self.misses += 1
             return None
         if (
             payload.get("version") != BASELINE_FORMAT_VERSION
@@ -209,8 +220,7 @@ class CycleBaselineStore:
             or payload.get("precharac_version") != self.precharac_version
         ):
             self.rejected += 1
-            if not probe:
-                self.misses += 1
+            self.misses += 1
             return None
         data = payload["state"]
         entry = MpuTraceEntry(

@@ -32,7 +32,6 @@ failure retries cleanly.
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 import threading
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -52,7 +51,7 @@ from repro.obs.service_metrics import (
     record_submission,
     update_job_gauges,
 )
-from repro.service.artifacts import ArtifactStore, ensure_precharac
+from repro.service.artifacts import ArtifactStore, resolve_artifacts
 from repro.service.cache import ResultCache, result_payload
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -425,28 +424,6 @@ class EvaluationService:
                 return
             self._execute(job)
 
-    def _with_cached_artifacts(self, spec: CampaignSpec) -> CampaignSpec:
-        """Route derived precomputation through the artifact cache.
-
-        Only applies when this process builds the real runtime (no
-        injected engine factory, no fleet dispatch).  Every rewritten
-        field is non-semantic, so the spec hash — and with it result
-        caching, dedup, and resume identity — is unchanged.
-        """
-        if spec.charac_cache is None:
-            path, _ = ensure_precharac(
-                self.artifacts, spec.benchmark, spec.variant
-            )
-            spec = dataclasses.replace(spec, charac_cache=str(path))
-        if spec.baseline_store is None:
-            # Cycle baselines persist in the same content-addressed store,
-            # so a restarted service warm-starts repeat campaigns on the
-            # same (design, workload) without re-simulating golden cycles.
-            spec = dataclasses.replace(
-                spec, baseline_store=str(self.artifacts.root)
-            )
-        return spec
-
     def _execute(self, job: Job) -> None:
         # ``queue.pop`` hands out a job that is still ``queued``, so a
         # cancel may land before this transition; it must win.
@@ -458,7 +435,9 @@ class EvaluationService:
             spec = CampaignSpec.from_dict(job.spec)
             engine = sampler = scheduler = None
             if self.fleet is None and self.engine_factory is None:
-                spec = self._with_cached_artifacts(spec)
+                # The resolved paths land in the run's spec.json, so
+                # resume and replay load the same characterization.
+                spec = resolve_artifacts(spec, self.artifacts)
                 # Build before the run directory exists: a build that
                 # fails must not leave a run behind that reads ``running``.
                 engine, sampler = spec.build_runtime()

@@ -97,6 +97,12 @@ class MpuVariant:
         parity = "parity" in parts
         parts.discard("parity")
         parts.discard("none")
+        if len(parts) > 1:
+            # A set has no order: ``pop`` would pick by string hash,
+            # so "tmr+dual" would name a different design per process.
+            raise SimulationError(
+                f"variant {text!r} names more than one redundancy scheme"
+            )
         redundancy = parts.pop() if parts else "none"
         return cls(redundancy=redundancy, cfg_parity=parity)
 

@@ -22,7 +22,7 @@ criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -270,6 +270,15 @@ poll:
         illegal_accesses=[IllegalAccess(SECRET_ADDR, write=False)],
         cycle_slack=120,
     )
+
+
+#: The attacked benchmarks by campaign name (``CampaignSpec.benchmark``,
+#: the CLI's ``--benchmark``, conformance designs).
+BENCHMARKS: Dict[str, Callable[[], BenchmarkProgram]] = {
+    "write": illegal_write_benchmark,
+    "read": illegal_read_benchmark,
+    "dma": dma_exfiltration_benchmark,
+}
 
 
 def reconfig_workload(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign import CampaignSpec, StoppingConfig, load_spec
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ReproError
 
 
 class TestStoppingConfig:
@@ -100,6 +100,27 @@ class TestCampaignSpec:
             CampaignSpec(chunk_size=0)
         with pytest.raises(EvaluationError):
             CampaignSpec(sampler="quantum")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("benchmark", "nope"),
+            ("variant", "pentuple"),
+            ("window", 0),
+            ("window", -5),
+            ("impact_cycles", 0),
+            ("impact_cycles", -3),
+            ("subblock_fraction", 0.0),
+            ("subblock_fraction", 1.5),
+        ],
+    )
+    def test_out_of_range_field_rejected_on_construction(self, field, value):
+        """A value the runtime would reject later, or (``impact_cycles``
+        below 1) run as 1 while hashing apart, is refused here."""
+        with pytest.raises(ReproError):
+            CampaignSpec(**{field: value})
+        with pytest.raises(ReproError):
+            CampaignSpec.from_dict({**CampaignSpec().to_dict(), field: value})
 
 
 class TestChunkPlan:

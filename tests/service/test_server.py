@@ -156,6 +156,29 @@ class TestErrors:
         assert err.value.status == 400
         assert "quantum" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("benchmark", "nope"),
+            ("variant", 5),
+            ("window", 0),
+            ("window", -5),
+            ("subblock_fraction", 0.0),
+            ("impact_cycles", 0),
+            ("impact_cycles", -3),
+        ],
+    )
+    def test_out_of_range_spec_400_and_nothing_queued(
+        self, client, field, value
+    ):
+        """Rejected at the door, not failed later in a job thread (or,
+        for ``impact_cycles`` below 1, run as 1 under a hash of its
+        own)."""
+        with pytest.raises(ServiceError) as err:
+            client.submit({**SPEC.to_dict(), field: value})
+        assert err.value.status == 400
+        assert client.list_jobs()["jobs"] == []
+
     def test_surrogate_spec_400_then_default_submit_succeeds(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit({**SPEC.to_dict(), "engine": "surrogate"})

@@ -87,6 +87,23 @@ class TestValidation:
         ):
             spec.expand()
 
+    @pytest.mark.parametrize(
+        "axis,values",
+        [
+            ("impact_cycles", (1, 0)),
+            ("window", (8, -5)),
+            ("subblock_fraction", (0.25, 0.0)),
+        ],
+    )
+    def test_out_of_range_point_fails_expand_before_fan_out(
+        self, axis, values
+    ):
+        spec = make_spec(axes={axis: values})
+        with pytest.raises(
+            SweepError, match=rf"sweep point \({axis}={values[1]}\)"
+        ):
+            spec.expand()
+
     def test_negative_regression_margin_rejected(self):
         with pytest.raises(SweepError, match="regression_margin"):
             make_spec(regression_margin=-0.1)
