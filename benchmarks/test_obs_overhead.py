@@ -3,17 +3,17 @@
 Two budgets, one workload (Fig. 9):
 
 1. **Single-node default** — the engine's hot path is instrumented by
-   default (``observe=True`` with the no-op ``NULL_TRACER``): a metrics
-   registry records each sample and a ``StageClock`` takes one
-   ``perf_counter`` lap per stage boundary.  That default must cost
-   < 3% against a fully-unobserved engine (``observe=False``).
+   default (``observe=True``): a metrics registry records each batch
+   and a ``StageClock`` takes one ``perf_counter`` lap per stage
+   boundary.  That default must cost < 3% against a fully-unobserved
+   engine (``observe=False``).
 
-2. **Fleet telemetry path** — a fleet worker additionally runs each
-   chunk under a *recording* tracer bound to the lease context and
-   packages spans + metrics + logs into the shipping bundle
-   (:class:`repro.fleet.worker._ChunkObs`).  That full worker-side
-   telemetry pipeline must cost < 5% against the same worker loop with
-   shipping disabled.
+2. **Fleet telemetry path** — a fleet worker additionally turns each
+   chunk's stage laps into spans, times the chunk under a recording
+   tracer bound to the lease context, and packages spans + metrics +
+   logs into the shipping bundle (:class:`repro.fleet.worker._ChunkObs`).
+   That full worker-side telemetry pipeline must cost < 5% against the
+   same worker loop with shipping disabled.
 
 Each side runs on an engine of its own, and the two are timed in
 interleaved pairs.  Pair ``i`` runs both sides on seed ``FIRST_SEED +
@@ -33,7 +33,7 @@ from repro import (
     ImportanceSampler,
     default_attack_spec,
 )
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import lap_spans
 
 N_SAMPLES = 1500
 PAIRS = 15
@@ -45,9 +45,7 @@ MAX_FLEET_OVERHEAD = 0.05
 
 def build(context, observe):
     spec = default_attack_spec(context, window=50)
-    engine = CrossLevelEngine(
-        context, spec, tracer=NULL_TRACER, observe=observe
-    )
+    engine = CrossLevelEngine(context, spec, observe=observe)
     sampler = ImportanceSampler(
         spec, context.characterization, placement=context.placement
     )
@@ -130,8 +128,8 @@ def test_noop_observability_overhead_under_budget(write_context, emit):
 
 def fleet_chunk(engine, sampler, telemetry, seed):
     """One worker-side chunk turn: evaluate, and (optionally) run the
-    full telemetry pipeline — recording tracer on the engine, chunk
-    span, log record, and the shipped bundle build — exactly what
+    full telemetry pipeline — the chunk's stage spans, chunk span, log
+    record, and the shipped bundle build — exactly what
     ``FleetWorker._serve`` adds over the plain evaluation."""
     from repro.fleet.worker import _ChunkObs
 
@@ -142,19 +140,18 @@ def fleet_chunk(engine, sampler, telemetry, seed):
             "chunk": 0,
         }
         obs = _ChunkObs("bench-worker", grant, lease_wait_s=0.01)
-        engine.tracer = obs.tracer
     start = time.perf_counter()
     result = engine.evaluate(sampler, N_SAMPLES, seed=seed)
     duration_s = time.perf_counter() - start
     bundle = None
     if obs is not None:
+        obs.chunk_spans = lap_spans(result.laps, chunk=0)
         obs.tracer.add_event(
             "chunk.evaluate", start, duration_s,
             n_samples=N_SAMPLES, **obs.context,
         )
         obs.logs.info("chunk evaluated", n_samples=N_SAMPLES)
         bundle = obs.bundle([])
-        engine.tracer = NULL_TRACER
     total = time.perf_counter() - start
     return total, result, bundle
 

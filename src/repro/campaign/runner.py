@@ -21,9 +21,13 @@ records when absent) is merged into the runner's registry in chunk-index
 order, so the merged metrics inherit every determinism guarantee above —
 1 worker or 8, uninterrupted or SIGKILL-resumed, the deterministic subset
 is identical.  The merged registry is exported to ``metrics.jsonl`` /
-``metrics.prom`` in the run directory at every checkpoint; a recording
-tracer additionally captures runner/scheduler spans (chunk dispatch,
-steal, merge, checkpoint fsync) exported as Chrome ``trace.json``.
+``metrics.prom`` in the run directory at every checkpoint.  Spans take
+one route: a recording tracer captures runner/scheduler spans (chunk
+dispatch, steal, merge, checkpoint fsync), every traced chunk brings its
+engine stage spans back in its :class:`ChunkResult` (in-process, fork
+worker or fleet worker alike), and the runner's
+:class:`~repro.obs.tracing.RunTrace` stitches them — one lane per
+process — into the run's one Chrome ``trace.json``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.core.results import CampaignResult, SampleRecord
 from repro.errors import EvaluationError
 from repro.obs.engine_metrics import metrics_from_records
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import NULL_TRACER, RunTrace, Tracer
 from repro.sampling.estimator import SsfEstimator
 
 
@@ -54,7 +58,8 @@ class CampaignRunner:
 
     ``engine`` and ``sampler`` are normally built from the spec; tests (or
     callers that already hold a context) may inject their own.  The runner
-    always maintains a merged :class:`MetricsRegistry` (``self.metrics``);
+    always maintains a merged :class:`MetricsRegistry` (``self.metrics``)
+    and the run's :class:`~repro.obs.tracing.RunTrace` (``self.trace``);
     pass a recording :class:`~repro.obs.tracing.Tracer` (or set
     ``spec.trace``) to capture spans as well.
     """
@@ -90,6 +95,7 @@ class CampaignRunner:
         if tracer is None and getattr(spec, "trace", False):
             tracer = Tracer(metrics=self.metrics)
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.trace = RunTrace(self.tracer)
         # Runner-owned obs hook: first in the chain, also fed during
         # replay, so campaign progress metrics are deterministic.
         self._obs = ObsHooks(self.metrics)
@@ -103,14 +109,6 @@ class CampaignRunner:
         if self._engine is None or self._sampler is None:
             with self.tracer.span("campaign.build_runtime"):
                 self._engine, self._sampler = self.spec.build_runtime()
-        if self.tracer.enabled and (
-            getattr(self._engine, "tracer", None) is NULL_TRACER
-        ):
-            # Give the engine our span buffer: in-process (sequential)
-            # chunks then contribute one span per engine stage lap.  Fork
-            # workers inherit a copy whose spans never travel back —
-            # their stage *timings* still do, via the metrics snapshot.
-            self._engine.tracer = self.tracer
         self.hooks.bind(self.metrics, self.tracer)
         hooks = self._hook_chain
 
@@ -201,14 +199,16 @@ class CampaignRunner:
             )
         elif hasattr(scheduler, "bind_obs"):
             # Injected schedulers (the fleet lease scheduler) get the
-            # runner's registry and tracer so shipped worker telemetry
-            # lands in the same metrics.jsonl / merged-trace exports.
-            scheduler.bind_obs(self.metrics, self.tracer)
+            # runner's registry and trace so shipped worker telemetry
+            # lands in the same metrics.jsonl and trace.json.
+            scheduler.bind_obs(self.metrics, self.trace)
         hooks = self._hook_chain
         pending: Dict[int, ChunkResult] = {}
         state = {"next": next_index, "decision": None, "since_ckpt": 0}
 
         def consume(result: ChunkResult) -> bool:
+            if result.spans:
+                self.trace.add_spans(result.worker, result.spans)
             pending[result.index] = result
             while state["next"] in pending:
                 ready = pending.pop(state["next"])
@@ -275,12 +275,16 @@ class CampaignRunner:
             snapshot = metrics_from_records(chunk_records).snapshot()
         self.metrics.merge_snapshot(snapshot)
 
-    def _export_obs(self) -> None:
+    def _export_obs(self, final: bool = True) -> None:
         if self.store is None:
             return
         self.store.write_metrics(self.metrics)
-        if self.tracer.enabled:
-            self.store.write_trace(self.tracer)
+        # Each write rewrites every span so far, so only a tracing run
+        # pays for one per checkpoint; the spans fleet workers ship by
+        # default are written once, when the run ends.
+        trace = self.trace.build() if final or self.tracer.enabled else None
+        if trace is not None:
+            self.store.write_trace(trace)
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -308,5 +312,5 @@ class CampaignRunner:
         snapshot = self._snapshot(status, estimator, decision, n_records)
         with self.tracer.span("checkpoint.fsync", status=status):
             self.store.write_checkpoint(snapshot)
-        self._export_obs()
+        self._export_obs(final=False)
         self._hook_chain.on_checkpoint(snapshot)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.results import SampleRecord
 from repro.errors import EvaluationError
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import NULL_TRACER, lap_spans
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,17 @@ class ChunkResult:
     (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`) recorded by the
     worker's engine during this chunk, or ``None`` when the engine ran
     unobserved — consumers fall back to rebuilding the deterministic
-    subset from ``records``.
+    subset from ``records``.  ``spans`` are the engine's stage spans of
+    a traced chunk (wall-clock span dicts, see
+    :func:`~repro.obs.tracing.lap_spans`), produced by ``worker`` (None:
+    the runner's own process); an untraced chunk carries none.
     """
 
     index: int
     records: List[SampleRecord]
     metrics: Optional[List[dict]] = None
+    spans: Optional[List[dict]] = None
+    worker: Optional[str] = None
 
 
 def chunk_seed_sequence(seed: Optional[int], index: int) -> np.random.SeedSequence:
@@ -69,7 +74,10 @@ def chunk_seed_sequence(seed: Optional[int], index: int) -> np.random.SeedSequen
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
-def _run_chunk(engine, sampler, seed: Optional[int], chunk: Chunk) -> ChunkResult:
+def _run_chunk(
+    engine, sampler, seed: Optional[int], chunk: Chunk,
+    trace: bool = False, worker: Optional[str] = None,
+) -> ChunkResult:
     # Pass the chunk's SeedSequence itself (not a Generator): the engine
     # spawns one child stream per sample from it, so samples within a
     # chunk never share RNG state and each is replayable in isolation.
@@ -78,12 +86,20 @@ def _run_chunk(engine, sampler, seed: Optional[int], chunk: Chunk) -> ChunkResul
     result = engine.evaluate(
         sampler, chunk.n_samples, seed=chunk_seed_sequence(seed, chunk.index)
     )
+    # Untraced, the laps go with the result: never pickled, never kept.
+    laps = getattr(result, "laps", None) if trace else None
     return ChunkResult(
-        chunk.index, list(result.records), getattr(result, "metrics", None)
+        chunk.index,
+        list(result.records),
+        getattr(result, "metrics", None),
+        spans=lap_spans(laps, chunk=chunk.index) if laps else None,
+        worker=worker,
     )
 
 
-def _chunk_worker(engine, sampler, seed, task_queue, result_queue) -> None:
+def _chunk_worker(
+    engine, sampler, seed, trace, worker, task_queue, result_queue
+) -> None:
     """Worker loop: pull chunk descriptors until the ``None`` sentinel."""
     while True:
         task = task_queue.get()
@@ -91,8 +107,10 @@ def _chunk_worker(engine, sampler, seed, task_queue, result_queue) -> None:
             break
         index, n_samples = task
         try:
-            result = _run_chunk(engine, sampler, seed, Chunk(index, n_samples))
-            result_queue.put((index, (result.records, result.metrics)))
+            result = _run_chunk(
+                engine, sampler, seed, Chunk(index, n_samples), trace, worker
+            )
+            result_queue.put((index, result))
         except Exception as exc:  # pragma: no cover - surfaced to the parent
             result_queue.put((index, exc))
 
@@ -127,6 +145,8 @@ class WorkStealingScheduler:
         self.n_workers_used = 1
         # Parent-side observability (operational, not part of the
         # deterministic merge): chunk dispatch/complete counters + spans.
+        # A recording tracer also traces the chunks: their engine stage
+        # spans come back in each ChunkResult, whichever process ran it.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
 
@@ -156,7 +176,8 @@ class WorkStealingScheduler:
                 self._count("scheduler_chunks_dispatched_total")
                 with self.tracer.span("chunk.run", chunk=chunk.index):
                     result = _run_chunk(
-                        self.engine, self.sampler, self.seed, chunk
+                        self.engine, self.sampler, self.seed, chunk,
+                        trace=self.tracer.enabled,
                     )
                 self._count("scheduler_chunks_completed_total")
                 if not on_chunk(result):
@@ -179,10 +200,13 @@ class WorkStealingScheduler:
         processes = [
             ctx.Process(
                 target=_chunk_worker,
-                args=(self.engine, self.sampler, self.seed, task_queue, result_queue),
+                args=(
+                    self.engine, self.sampler, self.seed,
+                    self.tracer.enabled, f"fork-{i}", task_queue, result_queue,
+                ),
                 daemon=True,
             )
-            for _ in range(n_workers)
+            for i in range(n_workers)
         ]
         for process in processes:
             process.start()
@@ -207,9 +231,8 @@ class WorkStealingScheduler:
                     raise EvaluationError(
                         f"worker failed on chunk {index}: {payload}"
                     ) from payload
-                records, chunk_metrics = payload
                 self._count("scheduler_chunks_completed_total")
-                if not on_chunk(ChunkResult(index, records, chunk_metrics)):
+                if not on_chunk(payload):
                     return  # cancel: the finally block tears the pool down
                 chunk = next(feed, None)
                 if chunk is not None:

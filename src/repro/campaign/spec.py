@@ -29,7 +29,10 @@ STOPPING_MODES = ("fixed", "risk", "ci")
 #: the SEU surrogate, which is gone: ``engine`` and ``fidelity`` load only
 #: at their exact-engine values (:data:`RETIRED_VALUES`), and any
 #: ``calibration`` path is dropped, since the exact engine never read it.
-LEGACY_FIELDS = ("batch", "engine", "fidelity", "calibration")
+#: ``telemetry`` let a campaign stop fleet workers shipping spans, metrics
+#: and logs; that is the worker's deployment setting alone
+#: (``repro worker --no-telemetry``).
+LEGACY_FIELDS = ("batch", "engine", "fidelity", "calibration", "telemetry")
 
 #: The one value each retired backend selector may still carry.
 RETIRED_VALUES = {"engine": "exact", "fidelity": "single"}
@@ -91,7 +94,6 @@ class CampaignSpec:
     chunk_size: int = 50              # samples per work-stealing chunk
     charac_cache: Optional[str] = None  # pre-characterization JSON to reuse
     trace: bool = False               # record spans → runs/<id>/trace.json
-    telemetry: bool = True            # fleet workers ship spans/metrics/logs
     baseline_store: Optional[str] = None  # ArtifactStore root for cycle baselines
     stopping: StoppingConfig = field(default_factory=StoppingConfig)
 

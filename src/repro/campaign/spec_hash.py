@@ -17,15 +17,14 @@ Canonicalization rules (pinned by golden-hash tests):
 * pure observability/performance knobs that cannot change the estimate
   are *excluded*: ``trace`` (span recording), ``charac_cache`` (a
   memoized pre-characterization is derived deterministically from the
-  benchmark + variant, the path only skips recomputation),
-  ``telemetry`` (fleet workers' shipped spans/metrics/logs are forced
-  non-deterministic on ingest and can never reach the estimator or the
-  deterministic metric view), and ``baseline_store`` (a loaded cycle
-  baseline is bit-identical to a recomputed one — the store only skips
-  golden re-simulation, and stale entries are rejected by fingerprint);
-* the retired ``batch`` and ``calibration`` fields were excluded too,
-  and :meth:`~repro.campaign.spec.CampaignSpec.from_dict` drops them on
-  load, so a spec that still carries them hashes as it always did;
+  benchmark + variant, the path only skips recomputation), and
+  ``baseline_store`` (a loaded cycle baseline is bit-identical to a
+  recomputed one — the store only skips golden re-simulation, and stale
+  entries are rejected by fingerprint);
+* the retired ``batch``, ``calibration`` and ``telemetry`` fields were
+  excluded too, and :meth:`~repro.campaign.spec.CampaignSpec.from_dict`
+  drops them on load, so a spec that still carries them hashes as it
+  always did;
 * the retired backend selectors ``engine`` and ``fidelity`` were part of
   the identity (they swapped the exact engine for the SEU surrogate).
   Only the exact engine is left, so the canonical form writes them as
@@ -58,7 +57,6 @@ HASH_SCHEMA_VERSION = 2
 NON_SEMANTIC_FIELDS = (
     "trace",
     "charac_cache",
-    "telemetry",
     "baseline_store",
 )
 

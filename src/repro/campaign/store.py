@@ -7,7 +7,9 @@ Layout of one run directory (``<root>/<run_id>/``)::
     checkpoint.json  latest estimator snapshot + run status
     metrics.jsonl    latest merged metrics snapshot (one metric per line)
     metrics.prom     the same metrics as a Prometheus textfile
-    trace.json       Chrome trace_event export (only when tracing was on)
+    trace.json       Chrome trace_event export, one lane per process
+                     (when the run traced, or fleet workers shipped spans)
+    events.jsonl     operational events of a fleet run (leases, worker logs)
 
 The log is the source of truth: ``campaign resume`` replays it into a
 fresh Welford estimator and continues with the first chunk index not in
@@ -47,7 +49,6 @@ METRICS_FILE = "metrics.jsonl"
 PROM_FILE = "metrics.prom"
 TRACE_FILE = "trace.json"
 EVENTS_FILE = "events.jsonl"
-FLEET_TRACE_FILE = "trace_fleet.json"
 
 STATUS_RUNNING = "running"
 STATUS_COMPLETE = "complete"
@@ -250,30 +251,10 @@ class RunStore:
 
         return load_metrics_jsonl(target)
 
-    def write_trace(self, tracer) -> None:
-        """Export a recording tracer's buffer as Chrome trace JSON."""
-        atomic_write(
-            self.path / TRACE_FILE,
-            json.dumps(tracer.to_chrome(), sort_keys=True),
-        )
-
-    def write_fleet_trace(self, trace: dict) -> None:
-        """Export the merged coordinator+workers Chrome trace.
-
-        Kept separate from ``trace.json`` — the runner rewrites that one
-        from its own (coordinator-side) tracer at every checkpoint, and
-        the merged trace exists only for fleet runs.
-        """
-        atomic_write(
-            self.path / FLEET_TRACE_FILE, json.dumps(trace, sort_keys=True)
-        )
-
-    def read_fleet_trace(self) -> dict:
-        """The merged fleet trace (``{}`` when the run never wrote one)."""
-        target = self.path / FLEET_TRACE_FILE
-        if not target.exists():
-            return {}
-        return json.loads(target.read_text())
+    def write_trace(self, trace: dict) -> None:
+        """Export the run's merged Chrome trace
+        (:meth:`~repro.obs.tracing.RunTrace.build`) as ``trace.json``."""
+        atomic_write(self.path / TRACE_FILE, json.dumps(trace, sort_keys=True))
 
     # ------------------------------------------------------------------
     # operational event log (fleet telemetry; advisory, append-only)

@@ -26,11 +26,10 @@ records stage wall times (one lap per stage of the batch), outcome
 counters, and the masking funnel into a fresh
 :class:`~repro.obs.metrics.MetricsRegistry`, snapshotted onto the returned
 :class:`CampaignResult` — the unit the campaign scheduler serializes per
-chunk and merges deterministically.  A recording
-:class:`~repro.obs.tracing.Tracer` additionally captures one span per
-stage lap.  With ``observe=False`` and the default
-:data:`~repro.obs.tracing.NULL_TRACER`, the flow runs uninstrumented (no
-clocks, no registry) — the baseline the
+chunk and merges deterministically — together with the stage laps
+themselves, which a traced chunk turns into spans.  The engine holds no
+tracer.  With ``observe=False`` the flow runs uninstrumented (no clocks,
+no registry, no laps) — the baseline the
 ``benchmarks/test_obs_overhead.py`` guard compares against.
 """
 
@@ -57,7 +56,7 @@ from repro.obs.engine_metrics import (
     observe_slowest_samples,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_CLOCK, NULL_TRACER, StageClock
+from repro.obs.tracing import NULL_CLOCK, StageClock
 from repro.rtl.checkpoint import Checkpoint
 from repro.sampling.base import Sampler
 from repro.sampling.estimator import SsfEstimator
@@ -87,14 +86,12 @@ class CrossLevelEngine:
         context: EvaluationContext,
         spec: AttackSpec,
         config: Optional[EngineConfig] = None,
-        tracer=None,
         observe: bool = True,
         baseline_store=None,
     ):
         self.context = context
         self.spec = spec
         self.config = config or EngineConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.observe = observe
         self.transient_sim = TransientSimulator(context.netlist, context.timing)
         # Per-(injection cycle) baseline cache for the batched kernel: the
@@ -544,10 +541,8 @@ class CrossLevelEngine:
             raise EvaluationError("n_samples must be positive")
         estimator = SsfEstimator(record_history=True)
         registry = MetricsRegistry() if self.observe else None
-        tracer = self.tracer
-        observing = registry is not None or tracer.enabled
         start = time.perf_counter()
-        clock = StageClock() if observing else NULL_CLOCK
+        clock = StageClock() if self.observe else NULL_CLOCK
         if isinstance(seed, np.random.SeedSequence):
             rngs = [
                 as_generator(sample_seed_sequence(seed, i))
@@ -571,8 +566,6 @@ class CrossLevelEngine:
                 registry, clock.stage_totals(), clock.total_seconds(), n_samples
             )
             metrics_from_records(records, registry)
-        if tracer.enabled:
-            tracer.add_laps(clock.laps, sample=0)
         for i, record in enumerate(records):
             estimator.push(samples[i], record.e)
             if progress is not None:
@@ -584,6 +577,7 @@ class CrossLevelEngine:
             estimator=estimator,
             wall_time_s=wall,
             metrics=registry.snapshot() if registry is not None else None,
+            laps=clock.laps if registry is not None else None,
         )
 
     # ------------------------------------------------------------------

@@ -49,6 +49,9 @@ class CampaignResult:
     # Serialized repro.obs.MetricsRegistry snapshot recorded during the
     # run (None when the producer ran unobserved).
     metrics: Optional[List[dict]] = None
+    # The engine's StageClock laps, (stage, perf_counter start, seconds)
+    # per Fig. 5 stage (None when the engine ran unobserved).
+    laps: Optional[List[Tuple[str, float, float]]] = None
 
     @property
     def ssf(self) -> float:

@@ -54,14 +54,14 @@ from repro.obs.fleet_metrics import (
 )
 from repro.obs.logging import warn_once
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import RunTrace
 
 
 class _RemoteEngine:
     """Placeholder engine for coordinator-side runners.
 
     Fleet runs never evaluate samples in the coordinator process, so the
-    runner must not build the (expensive) real runtime; it only touches
-    ``config`` and ``tracer`` attributes, both satisfied here.
+    runner must not build the (expensive) real runtime.
     """
 
     config = None
@@ -132,21 +132,23 @@ class FleetScheduler:
         self.trace_id = uuid.uuid4().hex[:16]
         self.telemetry: Optional[RunTelemetry] = None
         self._bound_metrics: Optional[MetricsRegistry] = None
-        self._bound_tracer = None
+        self._bound_trace: Optional[RunTrace] = None
 
     @property
     def n_workers_used(self) -> int:
         return max(1, len(self._workers_seen))
 
-    def bind_obs(self, metrics: MetricsRegistry, tracer) -> None:
-        """Receive the runner's merged registry and tracer (called by
+    def bind_obs(self, metrics: MetricsRegistry, trace: RunTrace) -> None:
+        """Receive the runner's merged registry and run trace (called by
         :meth:`CampaignRunner._drive` before :meth:`run`).
 
-        Shipped worker metrics are folded into ``metrics`` only after
-        the consumption loop finishes — the runner's deterministic
-        chunk-order merging must never race telemetry ingest."""
+        Shipped spans and lease instants go straight into ``trace``
+        (which locks itself); shipped worker metrics are folded into
+        ``metrics`` only after the consumption loop finishes — the
+        runner's deterministic chunk-order merging must never race
+        telemetry ingest."""
         self._bound_metrics = metrics
-        self._bound_tracer = tracer
+        self._bound_trace = trace
 
     # ------------------------------------------------------------------
     # runner-facing contract (mirrors WorkStealingScheduler.run)
@@ -162,7 +164,10 @@ class FleetScheduler:
             ttl_s=self.coordinator.lease_ttl_s,
         )
         self.telemetry = RunTelemetry(
-            self.store, self.trace_id, metrics=self.coordinator.metrics
+            self.store,
+            self.trace_id,
+            metrics=self.coordinator.metrics,
+            trace=self._bound_trace,
         )
         self.telemetry.record_event(
             "run_started",
@@ -204,14 +209,14 @@ class FleetScheduler:
                 self._export_telemetry()
 
     def _export_telemetry(self) -> None:
-        """Fold shipped worker metrics into the runner's registry and
-        write the merged fleet trace (run close, lock held).
+        """Fold shipped worker metrics into the runner's registry (run
+        close, lock held).
 
         Runs after the consumption loop, so the runner's final
-        ``_export_obs`` (which rewrites ``metrics.jsonl``) sees the
-        shipped series; they are all non-deterministic, so the
-        deterministic view — the fleet-vs-local parity surface — is
-        untouched.
+        ``_export_obs`` (which rewrites ``metrics.jsonl`` and
+        ``trace.json``) sees the shipped series and spans; the series
+        are all non-deterministic, so the deterministic view — the
+        fleet-vs-local parity surface — is untouched.
         """
         if self.telemetry is None:
             return
@@ -220,7 +225,6 @@ class FleetScheduler:
             self._bound_metrics.merge_snapshot(
                 self.telemetry.shipped.snapshot()
             )
-        self.telemetry.export(self._bound_tracer)
 
     # ------------------------------------------------------------------
     # coordinator-facing entry points (called under the coordinator lock)
@@ -257,7 +261,7 @@ class FleetScheduler:
                 reassigned=reassigned,
                 queue_wait_s=round(lease.queue_wait_s, 6),
             )
-            self.telemetry.add_instant(
+            self.telemetry.trace.add_instant(
                 "lease.reissue" if reassigned else "lease.grant",
                 worker=worker,
                 chunk=lease.chunk.index,
@@ -328,7 +332,7 @@ class FleetScheduler:
                         else None
                     ),
                 )
-                self.telemetry.add_instant(
+                self.telemetry.trace.add_instant(
                     "chunk.accepted",
                     worker=worker,
                     chunk=chunk_index,
@@ -471,7 +475,7 @@ class FleetCoordinator:
             self._touch(lease.worker)
             record_lease_renewed(self.metrics)
             if scheduler.telemetry is not None:
-                scheduler.telemetry.add_instant(
+                scheduler.telemetry.trace.add_instant(
                     "lease.heartbeat",
                     worker=lease.worker,
                     chunk=lease.chunk.index,
@@ -693,7 +697,7 @@ class FleetCoordinator:
                             chunk=lease.chunk.index,
                             worker=lease.worker,
                         )
-                        scheduler.telemetry.add_instant(
+                        scheduler.telemetry.trace.add_instant(
                             "lease.expired",
                             worker=lease.worker,
                             chunk=lease.chunk.index,

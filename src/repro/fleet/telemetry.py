@@ -5,11 +5,11 @@ One :class:`RunTelemetry` instance rides along with each
 the coordinator lock, everything a worker ships besides the sample
 records themselves:
 
-* **spans** — wall-clock-normalized :class:`~repro.obs.tracing.SpanEvent`
-  dicts, bucketed into one lane per worker and stitched (together with
-  the coordinator's own tracer lane and instant annotations for lease
-  grants, heartbeats, expiries, and accepts) into a single merged Chrome
-  trace written as ``trace_fleet.json`` when the run closes;
+* **spans** — wall-clock span dicts (the worker's lease wait, chunk
+  evaluation and post, plus the chunk's engine stage spans), added to
+  the worker's lane of the run's :class:`~repro.obs.tracing.RunTrace` —
+  the runner's, which writes them to ``trace.json`` with its own lane
+  and the coordinator's lease instants;
 * **metrics** — the worker's non-deterministic registry snapshot,
   accumulated in a private registry and folded into the runner's merged
   registry only after the consumption loop has finished (so the merge
@@ -27,19 +27,14 @@ matter what a worker ships.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.obs.fleet_metrics import (
     observe_lease_wait,
     record_telemetry_shipped,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import chrome_instant, merge_chrome_trace, wall_offset
-
-#: Synthetic pid for the coordinator's lane in the merged trace.  Fleet
-#: test workers are threads of one process, so real pids would collapse
-#: every lane into one track; lanes get stable synthetic pids instead.
-COORDINATOR_PID = 1
+from repro.obs.tracing import RunTrace
 
 
 class RunTelemetry:
@@ -50,19 +45,18 @@ class RunTelemetry:
         store,
         trace_id: str,
         metrics: Optional[MetricsRegistry] = None,
+        trace: Optional[RunTrace] = None,
     ):
         self.store = store
         self.trace_id = trace_id
         #: Coordinator-side SLO registry (straggler counters etc.).
         self.metrics = metrics
+        #: The run's trace (the runner's): worker lanes and instants.
+        self.trace = trace if trace is not None else RunTrace()
+        self.trace.trace_id = trace_id
         #: Shipped worker metrics, merged into the runner's registry at
         #: run close — never while chunks are still being consumed.
         self.shipped = MetricsRegistry()
-        self._lanes: Dict[str, List[dict]] = {}
-        self._instants: List[Tuple[str, float, Optional[str], dict]] = []
-        self.n_spans = 0
-        self.n_logs = 0
-        self.n_dropped = 0
 
     # ------------------------------------------------------------------
     # ingest (coordinator lock held)
@@ -72,12 +66,16 @@ class RunTelemetry:
         if not isinstance(telemetry, dict):
             return
         spans = telemetry.get("spans")
-        if isinstance(spans, list) and spans:
-            lane = self._lanes.setdefault(worker, [])
-            for span in spans:
-                if isinstance(span, dict) and "name" in span:
-                    lane.append(span)
-                    self.n_spans += 1
+        spans = [
+            span
+            for span in (spans if isinstance(spans, list) else ())
+            if isinstance(span, dict) and "name" in span
+        ]
+        try:
+            n_dropped = int(telemetry.get("n_dropped") or 0)
+        except (TypeError, ValueError):
+            n_dropped = 0  # garbage drop count from a buggy worker
+        self.trace.add_spans(worker, spans, n_dropped)
         metrics = telemetry.get("metrics")
         if isinstance(metrics, list):
             # Force non-semantic: whatever a worker ships can never
@@ -103,15 +101,8 @@ class RunTelemetry:
                         }
                     )
                     n_logs += 1
-        self.n_logs += n_logs
-        try:
-            self.n_dropped += int(telemetry.get("n_dropped") or 0)
-        except (TypeError, ValueError):
-            pass  # garbage drop count from a buggy worker: ignore
         if self.metrics is not None:
-            record_telemetry_shipped(
-                self.metrics, len(spans or ()), n_logs
-            )
+            record_telemetry_shipped(self.metrics, len(spans), n_logs)
             lease_wait = telemetry.get("lease_wait_s")
             if isinstance(lease_wait, (int, float)) and lease_wait >= 0:
                 observe_lease_wait(self.metrics, worker, float(lease_wait))
@@ -127,72 +118,3 @@ class RunTelemetry:
             self.store.append_event(event)
         except OSError:
             pass  # advisory: a full disk must not kill the run
-
-    def add_instant(
-        self, name: str, worker: Optional[str] = None, **attrs: object
-    ) -> None:
-        """Queue an instant annotation (lease grant, heartbeat, expiry)
-        for the merged trace, pinned to ``worker``'s lane (or the
-        coordinator's when ``worker`` is None)."""
-        self._instants.append((name, time.time(), worker, dict(attrs)))
-
-    # ------------------------------------------------------------------
-    # merged trace export
-    # ------------------------------------------------------------------
-    def worker_lanes(self) -> List[str]:
-        """Workers that shipped spans, in lane order."""
-        return sorted(self._lanes)
-
-    def build_trace(self, coordinator_tracer=None) -> dict:
-        """Stitch the merged Chrome trace: coordinator lane + one lane
-        per worker + instant annotations."""
-        lanes = []
-        if (
-            coordinator_tracer is not None
-            and getattr(coordinator_tracer, "enabled", False)
-        ):
-            offset = wall_offset()
-            lanes.append(
-                {
-                    "pid": COORDINATOR_PID,
-                    "tid": 0,
-                    "name": "coordinator",
-                    "spans": coordinator_tracer.export_spans(offset),
-                }
-            )
-            self.n_dropped += getattr(coordinator_tracer, "n_dropped", 0)
-        pid_of = {
-            worker: COORDINATOR_PID + 1 + i
-            for i, worker in enumerate(self.worker_lanes())
-        }
-        for worker, spans in sorted(self._lanes.items()):
-            lanes.append(
-                {
-                    "pid": pid_of[worker],
-                    "tid": 0,
-                    "name": f"worker {worker}",
-                    "spans": spans,
-                }
-            )
-        instants = [
-            chrome_instant(
-                name,
-                t_s,
-                pid_of.get(worker, COORDINATOR_PID),
-                0,
-                **attrs,
-            )
-            for name, t_s, worker, attrs in self._instants
-        ]
-        trace = merge_chrome_trace(
-            lanes, instants, n_dropped=self.n_dropped
-        )
-        trace["otherData"]["trace_id"] = self.trace_id
-        return trace
-
-    def export(self, coordinator_tracer=None) -> None:
-        """Write ``trace_fleet.json`` (run close)."""
-        try:
-            self.store.write_fleet_trace(self.build_trace(coordinator_tracer))
-        except OSError:
-            pass  # advisory export

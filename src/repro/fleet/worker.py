@@ -16,18 +16,21 @@ A :class:`FleetWorker` is a long-lived process (``repro worker --attach
 5. posts the serialized :class:`~repro.campaign.scheduler.ChunkResult`
    (``POST /v1/chunks``).
 
-With telemetry enabled (the default) each chunk also runs under a real
+With telemetry enabled (the default) each chunk is traced: a
 :class:`~repro.obs.tracing.Tracer` bound to the lease's correlation
-context (trace id, run id, lease id, chunk index): its spans — exported
-on the *wall* clock, since the coordinator's ``perf_counter`` is a
-different clock domain — plus a non-deterministic metrics snapshot and
-the chunk's structured log records ship inside the result payload's
-``telemetry`` field.  Spans that can only be measured after the post
-itself (``chunk.post``) carry over into the next shipment, and are
-flushed through the out-of-band ``POST /v1/telemetry`` verb when the
-worker goes idle or exits — same verb used when a lease is lost
-mid-chunk and there is no result to ride along with.  Telemetry is
-always best-effort: no telemetry failure may ever cost a chunk.
+context (trace id, run id, lease id, chunk index) times the lease wait
+and the evaluation, and the chunk's engine stage spans come back in its
+:class:`~repro.campaign.scheduler.ChunkResult`.  Those spans — on the
+*wall* clock, since the coordinator's ``perf_counter`` is a different
+clock domain — plus a non-deterministic metrics snapshot and the chunk's
+structured log records ship inside the result payload's ``telemetry``
+field; ``repro worker --no-telemetry`` turns shipping off.  Spans that
+can only be measured after the post itself (``chunk.post``) carry over
+into the next shipment, and are flushed through the out-of-band
+``POST /v1/telemetry`` verb when the worker goes idle or exits — same
+verb used when a lease is lost mid-chunk and there is no result to ride
+along with.  Telemetry is always best-effort: no telemetry failure may
+ever cost a chunk.
 
 A rejected result (lease expired while we evaluated — e.g. the process
 was suspended, or the chunk was re-issued and finished elsewhere) is a
@@ -52,18 +55,13 @@ from repro.campaign.store import record_to_dict
 from repro.errors import ServiceError
 from repro.obs.logging import LogBuffer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import Tracer
 
 logger = logging.getLogger(__name__)
 
 #: ``engine_factory(spec) -> (engine, sampler)``; tests and benchmarks
 #: inject stubs, production workers build the spec's real runtime.
 EngineFactory = Callable[[CampaignSpec], Tuple[object, object]]
-
-#: Per-chunk span budget.  Worker chunks are short (one lease TTL), so
-#: a modest cap keeps telemetry payloads bounded; overflow is counted
-#: and shipped in ``n_dropped``.
-CHUNK_TRACE_EVENTS = 20_000
 
 
 def default_worker_id() -> str:
@@ -114,13 +112,13 @@ class _Heartbeat:
 
 
 class _ChunkObs:
-    """Per-chunk telemetry context: tracer + registry + log buffer."""
+    """Per-chunk telemetry context: tracer + registry + log buffer, and
+    the engine stage spans of the chunk once it has run."""
 
     def __init__(self, worker_id: str, grant: dict, lease_wait_s: float):
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            max_events=CHUNK_TRACE_EVENTS, metrics=self.registry
-        )
+        self.tracer = Tracer(metrics=self.registry)
+        self.chunk_spans: List[dict] = []
         self.logs = LogBuffer()
         self.lease_wait_s = lease_wait_s
         self.context = {
@@ -145,7 +143,9 @@ class _ChunkObs:
         return {
             "worker": self.context["worker"],
             "pid": os.getpid(),
-            "spans": carry_spans + self.tracer.export_spans(),
+            "spans": (
+                carry_spans + self.tracer.export_spans() + self.chunk_spans
+            ),
             "n_dropped": self.tracer.n_dropped,
             "metrics": self.registry.snapshot(),
             "logs": self.logs.drain(),
@@ -239,12 +239,9 @@ class FleetWorker:
         job_id = str(grant.get("job_id") or "")
         chunk = Chunk(int(grant["chunk"]), int(grant["n_samples"]))
         ttl_s = float(grant.get("ttl_s") or 10.0)
-        # Shipping is gated twice: per worker (--no-telemetry) and per
-        # campaign (spec.telemetry) — either side can turn it off.
-        spec_wants = bool((grant.get("spec") or {}).get("telemetry", True))
         obs = (
             _ChunkObs(self.worker_id, grant, lease_wait_s)
-            if (self.telemetry and spec_wants)
+            if self.telemetry
             else None
         )
         try:
@@ -269,31 +266,15 @@ class FleetWorker:
                 deterministic=False,
             ).inc()
 
-        prev_tracer = getattr(engine, "tracer", None)
-        if obs is not None:
-            try:
-                # The engine contributes per-sample stage spans to the
-                # chunk's lane, exactly like a traced local run.
-                engine.tracer = obs.tracer
-            except Exception:  # noqa: BLE001 - engines may forbid setattr
-                pass
         started = time.perf_counter()
-        try:
-            with _Heartbeat(self.client, lease_id, ttl_s) as heartbeat:
-                result = _run_chunk(engine, sampler, spec.seed, chunk)
-        finally:
-            if obs is not None and prev_tracer is not None:
-                try:
-                    engine.tracer = prev_tracer
-                except Exception:  # noqa: BLE001
-                    pass
-            elif obs is not None and hasattr(engine, "tracer"):
-                try:
-                    engine.tracer = NULL_TRACER
-                except Exception:  # noqa: BLE001
-                    pass
+        with _Heartbeat(self.client, lease_id, ttl_s) as heartbeat:
+            result = _run_chunk(
+                engine, sampler, spec.seed, chunk,
+                trace=obs is not None, worker=self.worker_id,
+            )
         duration_s = time.perf_counter() - started
         if obs is not None:
+            obs.chunk_spans = result.spans or []
             obs.tracer.add_event(
                 "chunk.evaluate",
                 started,

@@ -51,10 +51,6 @@ from repro.obs.service_metrics import (
     record_submission,
     update_job_gauges,
 )
-from repro.obs.sweep_metrics import (
-    sweep_cache_hit_ratio,
-    update_sweep_gauges,
-)
 from repro.obs.tracing import (
     NULL_CLOCK,
     NULL_TRACER,
@@ -96,7 +92,5 @@ __all__ = [
     "reset_warn_once",
     "slowest_samples",
     "stage_breakdown",
-    "sweep_cache_hit_ratio",
-    "update_sweep_gauges",
     "warn_once",
 ]

@@ -1,36 +1,34 @@
 """Span-based tracing with a near-zero-overhead no-op default.
 
-The engine and the campaign runner are instrumented against the
+The campaign runner and its schedulers are instrumented against the
 :class:`NullTracer` singleton by default: every instrumentation point is
-either a no-op method call or guarded by ``tracer.enabled``, so the
-uninstrumented hot path stays within the benchmark guard's overhead
-budget (``benchmarks/test_obs_overhead.py``).
+either a no-op method call or guarded by ``tracer.enabled``.
 
 Opting in (``Tracer()``, or ``--trace`` on ``campaign run``) records
 :class:`SpanEvent` entries — name, start, duration, attributes — bounded
 by ``max_events`` (oldest kept, surplus counted in ``n_dropped``, with a
 one-time warning and a ``tracer_events_dropped`` counter when a metrics
-registry is attached).  :meth:`Tracer.to_chrome` converts the buffer
-into the Chrome ``trace_event`` JSON format, loadable in
-``chrome://tracing`` / Perfetto.
+registry is attached).
 
-Fleet runs span several processes whose ``perf_counter`` clocks are not
-comparable; :func:`wall_offset` plus :meth:`Tracer.export_spans` move
-spans onto the wall clock at ship time, and :func:`merge_chrome_trace`
-stitches per-worker span lanes (synthetic pid per worker, ``M``
-metadata naming each lane) and instant annotations (leases, heartbeats,
-re-issues) into one merged trace.
-
-:class:`StageClock` is the cheap companion used inside
-``CrossLevelEngine.run_batch``: one ``perf_counter`` call per stage
+The engine holds no tracer.  :class:`StageClock` is its cheap companion
+inside ``CrossLevelEngine.evaluate``: one ``perf_counter`` call per stage
 boundary, laps collected as ``(stage, start_s, duration_s)`` tuples that
-feed both the stage-seconds histograms and (when tracing) per-stage
-spans.
+feed the stage-seconds histograms and come back on the result.  A traced
+chunk turns them into span dicts with :func:`lap_spans`.
+
+A run spans several processes (fork workers, fleet workers) whose
+``perf_counter`` clocks are not comparable, so spans leave their process
+on the wall clock (:func:`wall_offset`, :meth:`Tracer.export_spans`,
+:func:`lap_spans`).  :class:`RunTrace` gathers one run's spans into one
+lane per process — the runner's own plus one per worker — with instant
+annotations (leases, heartbeats, re-issues), and :func:`merge_chrome_trace`
+stitches them into one Chrome ``trace_event`` document, loadable in
+``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -103,11 +101,12 @@ class NullTracer:
     def add_event(self, name, start_s, duration_s, **attrs) -> None:
         pass
 
-    def add_laps(self, laps, **attrs) -> None:
-        pass
-
 
 NULL_TRACER = NullTracer()
+
+
+#: Default span budget of a tracer, and of each lane of a run's trace.
+MAX_EVENTS = 200_000
 
 
 class _Span:
@@ -145,7 +144,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, max_events: int = 200_000, metrics=None):
+    def __init__(self, max_events: int = MAX_EVENTS, metrics=None):
         self.max_events = max(1, max_events)
         self.events: List[SpanEvent] = []
         self.n_dropped = 0
@@ -175,13 +174,6 @@ class Tracer:
             return
         self.events.append(SpanEvent(name, start_s, duration_s, attrs))
 
-    def add_laps(
-        self, laps: List[Tuple[str, float, float]], **attrs
-    ) -> None:
-        """Record a :class:`StageClock` lap list as one span per lap."""
-        for stage, start_s, duration_s in laps:
-            self.add_event(stage, start_s, duration_s, **attrs)
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
@@ -196,25 +188,20 @@ class Tracer:
             offset_s = wall_offset()
         return [event.to_dict(offset_s) for event in self.events]
 
-    def to_chrome(
-        self, pid: Optional[int] = None, tid: int = 0
-    ) -> dict:
-        """The buffer as a Chrome ``trace_event`` JSON object.
 
-        Complete ("ph": "X") events with microsecond timestamps, suitable
-        for ``chrome://tracing`` and Perfetto.
-        """
-        if pid is None:
-            pid = os.getpid()
-        trace_events = [
-            _chrome_complete(event.to_dict(), pid, tid)
-            for event in self.events
-        ]
-        return {
-            "traceEvents": trace_events,
-            "displayTimeUnit": "ms",
-            "otherData": {"n_dropped": self.n_dropped},
+def lap_spans(laps: Sequence[Tuple[str, float, float]], **attrs) -> List[dict]:
+    """:class:`StageClock` laps as span dicts on the wall clock, one per
+    lap: the shipping format of :meth:`Tracer.export_spans`."""
+    offset_s = wall_offset()
+    return [
+        {
+            "name": stage,
+            "start_s": start_s + offset_s,
+            "duration_s": duration_s,
+            "attrs": dict(attrs),
         }
+        for stage, start_s, duration_s in laps
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +279,97 @@ def merge_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {"n_dropped": n_dropped},
     }
+
+
+#: Synthetic pid of the runner's lane; worker lanes take the pids after
+#: it.  Fleet test workers are threads of one process, so real pids
+#: would collapse every lane into one track.
+RUNNER_PID = 1
+
+
+class RunTrace:
+    """One run's trace: the runner's lane, one lane per worker, instants.
+
+    The runner's lane holds its tracer's spans plus those of chunks run
+    in its own process (``worker`` None); each fork or fleet worker that
+    ships spans gets a lane of its own, and an instant pins to its
+    worker's lane (the runner's when that worker has none).  A lane
+    keeps at most ``max_events`` spans, the runner tracer's budget; the
+    surplus is counted in ``otherData.n_dropped``.  Fleet telemetry
+    arrives on HTTP handler threads while the runner exports, hence the
+    lock.
+    """
+
+    def __init__(self, tracer=None, trace_id: Optional[str] = None):
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.trace_id = trace_id
+        self.max_events = getattr(self.tracer, "max_events", MAX_EVENTS)
+        self.n_dropped = 0
+        self._lanes: Dict[Optional[str], List[dict]] = {}
+        self._instants: List[Tuple[str, float, Optional[str], dict]] = []
+        self._lock = threading.Lock()
+
+    def add_spans(
+        self,
+        worker: Optional[str],
+        spans: Sequence[dict],
+        n_dropped: int = 0,
+    ) -> None:
+        """Append wall-clock span dicts to ``worker``'s lane."""
+        with self._lock:
+            self.n_dropped += n_dropped
+            if not spans:
+                return
+            lane = self._lanes.setdefault(worker, [])
+            used = len(lane)
+            if worker is None:
+                used += len(getattr(self.tracer, "events", ()))
+            kept = spans[: max(0, self.max_events - used)]
+            lane.extend(kept)
+            self.n_dropped += len(spans) - len(kept)
+
+    def add_instant(
+        self, name: str, worker: Optional[str] = None, **attrs: object
+    ) -> None:
+        """Queue an instant annotation (lease grant, heartbeat, expiry)
+        at the current wall time, pinned to ``worker``'s lane."""
+        with self._lock:
+            self._instants.append((name, time.time(), worker, dict(attrs)))
+
+    def build(self) -> Optional[dict]:
+        """The merged Chrome trace, or None when there is nothing to
+        write: the runner does not trace and no worker shipped spans."""
+        with self._lock:
+            if not (self.tracer.enabled or any(self._lanes.values())):
+                return None
+            n_dropped = self.n_dropped
+            runner = list(self._lanes.get(None, ()))
+            if self.tracer.enabled:
+                runner = self.tracer.export_spans() + runner
+                n_dropped += self.tracer.n_dropped
+            lanes = []
+            if runner:
+                lanes.append(
+                    {"pid": RUNNER_PID, "name": "runner", "spans": runner}
+                )
+            workers = sorted(w for w in self._lanes if w is not None)
+            pid_of = {w: RUNNER_PID + 1 + i for i, w in enumerate(workers)}
+            for worker in workers:
+                lanes.append(
+                    {
+                        "pid": pid_of[worker],
+                        "name": f"worker {worker}",
+                        "spans": self._lanes[worker],
+                    }
+                )
+            instants = [
+                chrome_instant(name, t_s, pid_of.get(w, RUNNER_PID), **attrs)
+                for name, t_s, w, attrs in self._instants
+            ]
+            trace = merge_chrome_trace(lanes, instants, n_dropped=n_dropped)
+        if self.trace_id is not None:
+            trace["otherData"]["trace_id"] = self.trace_id
+        return trace
 
 
 class StageClock:

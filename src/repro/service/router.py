@@ -344,6 +344,8 @@ class ApiRouter:
 
         A terminal job answers instantly from the buffer (never parks
         the client), so ``curl`` against a finished run always returns.
+        The bus lives in memory: a job that finished before this process
+        started has no events on it, and answers ``end`` straight away.
         """
         try:
             timeout_s = float(request.query.get("timeout", 10.0))
@@ -356,6 +358,9 @@ class ApiRouter:
         else:
             events = bus.wait(job.job_id, after, timeout_s=timeout_s)
         next_after = max((seq for seq, _ in events), default=after - 1) + 1
+        end = any(is_end_event(event) for _, event in events) or (
+            job.terminal and bus.last_seq(job.job_id) == 0
+        )
         return ApiResponse.json(
             200,
             {
@@ -364,6 +369,6 @@ class ApiRouter:
                     {"seq": seq, "event": event} for seq, event in events
                 ],
                 "next_after": next_after,
-                "end": any(is_end_event(event) for _, event in events),
+                "end": end,
             },
         )

@@ -14,19 +14,18 @@ of the design space and the member estimates — comes out bit-identical.
 Progress streams onto a :class:`~repro.fleet.events.EventBus` topic
 named by the sweep id (``sweep_started`` / ``point`` /
 ``sweep_progress`` / ``sweep_complete``, closed by the standard
-``EVENT_END`` sentinel), and per-sweep gauges land in the shared
-metrics registry via :mod:`repro.obs.sweep_metrics`.
+``EVENT_END`` sentinel).  The runner is an HTTP client of the service,
+so it keeps no metrics of its own: ``repro sweep status`` reads the
+point states and the cache-hit ratio from the durable point log.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import ServiceError, SweepError
 from repro.fleet.events import EVENT_END, EventBus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sweep_metrics import update_sweep_gauges
 from repro.service.client import ServiceClient
 from repro.service.jobs import TERMINAL_STATES
 from repro.sweep.report import build_report, load_baseline, report_json
@@ -48,7 +47,6 @@ class SweepRunner:
         store: SweepStore,
         client: ServiceClient,
         events: Optional[EventBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
         poll_s: float = 0.2,
         timeout_s: float = 3600.0,
         priority: int = 0,
@@ -60,9 +58,6 @@ class SweepRunner:
         self.store = store
         self.client = client
         self.events = events if events is not None else EventBus()
-        self.metrics = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
         self.poll_s = poll_s
         self.timeout_s = timeout_s
         self.priority = priority
@@ -238,25 +233,7 @@ class SweepRunner:
     # progress surfaces
     # ------------------------------------------------------------------
     def _refresh(self, plan, jobs: Dict[str, dict]) -> None:
-        counts = {"queued": 0, "running": 0, "cached": 0, "done": 0,
-                  "failed": 0}
-        cached = 0
-        for response in jobs.values():
-            state = response["state"]
-            if response.get("cache_hit") and state == "done":
-                cached += 1
-                counts["cached"] += 1
-            elif state in counts:
-                counts[state] += 1
-            elif state == "cancelled":
-                counts["failed"] += 1
-        update_sweep_gauges(
-            self.metrics,
-            self.store.sweep_id,
-            total=len(plan.points),
-            state_counts=counts,
-            cached=cached,
-        )
+        counts = _count_point_states(jobs.values())
         self._publish(
             {
                 "type": "sweep_progress",
@@ -264,13 +241,29 @@ class SweepRunner:
                 "n_points": len(plan.points),
                 "n_submitted": len(jobs),
                 "n_done": counts["done"] + counts["cached"],
-                "n_cached": cached,
+                "n_cached": counts["cached"],
                 "states": counts,
             }
         )
 
     def _publish(self, event: dict) -> None:
         self.events.publish(self.store.sweep_id, event)
+
+
+def _count_point_states(points: Iterable[dict]) -> Dict[str, int]:
+    """Points by state; a cache hit that finished counts as ``cached``
+    and a cancelled point as ``failed``."""
+    counts = {"queued": 0, "running": 0, "cached": 0, "done": 0,
+              "failed": 0}
+    for point in points:
+        state = point.get("state", "queued")
+        if point.get("cache_hit") and state == "done":
+            counts["cached"] += 1
+        elif state in counts:
+            counts[state] += 1
+        elif state == "cancelled":
+            counts["failed"] += 1
+    return counts
 
 
 def sweep_status(store: SweepStore, client: Optional[ServiceClient] = None) -> dict:
@@ -293,18 +286,8 @@ def sweep_status(store: SweepStore, client: Optional[ServiceClient] = None) -> d
             except ServiceError:
                 continue  # job unknown to this service instance
             point["state"] = status["state"]
-    counts = {"queued": 0, "running": 0, "cached": 0, "done": 0,
-              "failed": 0}
-    cached = 0
-    for point in points.values():
-        state = point.get("state", "queued")
-        if point.get("cache_hit") and state == "done":
-            cached += 1
-            counts["cached"] += 1
-        elif state in counts:
-            counts[state] += 1
-        elif state == "cancelled":
-            counts["failed"] += 1
+    counts = _count_point_states(points.values())
+    cached = counts["cached"]
     report = store.read_report()
     return {
         "sweep_id": store.sweep_id,

@@ -2,7 +2,9 @@
 determinism across worker counts and interruption, hook-chain ordering,
 and the metrics exports."""
 
+import collections
 import io
+import json
 import logging
 import multiprocessing
 
@@ -19,6 +21,7 @@ from repro.campaign import (
     StoppingConfig,
 )
 from repro.obs import (
+    STAGES,
     MetricsRegistry,
     Tracer,
     deterministic_view,
@@ -209,7 +212,7 @@ class TestStoppingOverlapWarning:
 
 
 class TestTracing:
-    def test_runner_spans_exported_to_chrome_trace(self, tmp_path):
+    def test_runner_spans_exported_as_chrome_trace(self, tmp_path):
         store = RunStore.create(tmp_path, SPEC, run_id="traced")
         tracer = Tracer()
         run_spec(store=store, tracer=tracer)
@@ -237,3 +240,84 @@ class TestTracing:
         run_spec(store=store)
         assert not (store.path / "trace.json").exists()
         assert (store.path / "metrics.jsonl").exists()
+
+
+def traced_engine_run(context, tmp_path, n_workers):
+    """One traced campaign (write, random sampler, window 5, seed 7, 4
+    chunks of 20) on a fresh real engine; returns the result, the
+    trace.json lanes (pid -> name) and its engine stage spans by pid."""
+    from repro import RandomSampler, default_attack_spec
+    from repro.core.engine import CrossLevelEngine
+
+    spec = CampaignSpec(
+        sampler="random", window=5, seed=7, chunk_size=20, trace=True,
+        stopping=StoppingConfig(n_samples=80),
+    )
+    attack = default_attack_spec(context, window=5)
+    store = RunStore.create(tmp_path, spec, run_id=f"workers-{n_workers}")
+    result = CampaignRunner(
+        spec,
+        store=store,
+        engine=CrossLevelEngine(context, attack),
+        sampler=RandomSampler(attack),
+        n_workers=n_workers,
+        poll_interval_s=0.1,
+    ).run()
+    trace = json.loads((store.path / "trace.json").read_text())
+    lanes = {
+        e["pid"]: e["args"]["name"]
+        for e in trace["traceEvents"]
+        if e["ph"] == "M" and e["name"] == "process_name"
+    }
+    stages = [
+        (e["pid"], e["name"])
+        for e in trace["traceEvents"]
+        if e["ph"] == "X" and e["name"] in STAGES
+    ]
+    return result, lanes, stages
+
+
+def stage_counts(stages):
+    return collections.Counter(name for _, name in stages)
+
+
+class TestOneSpanRoute:
+    """Engine stage spans come back in each ChunkResult, whichever
+    process ran the chunk, so the trace does not depend on the worker
+    count."""
+
+    def test_sequential_engine_spans_are_pinned(
+        self, small_context, tmp_path
+    ):
+        result, lanes, stages = traced_engine_run(small_context, tmp_path, 1)
+        assert result.n_samples == 80
+        assert dict(stage_counts(stages)) == {
+            "draw": 4,
+            "restart": 20,
+            "transient": 20,
+            "classify": 30,
+            "analytical": 27,
+            "writeback": 3,
+            "rtl_resume": 3,
+            "compare": 3,
+        }
+        # In-process chunks trace into the runner's own lane.
+        assert set(lanes.values()) <= {"runner"}
+
+    @needs_fork
+    def test_worker_count_does_not_change_the_engine_spans(
+        self, small_context, tmp_path
+    ):
+        one, _, sequential = traced_engine_run(small_context, tmp_path, 1)
+        two, lanes, forked = traced_engine_run(small_context, tmp_path, 2)
+        assert [r.e for r in two.records] == [r.e for r in one.records]
+        # Per chunk and per cycle group, so independent of per-process
+        # caches; writeback and the verdict stages depend on each
+        # process's outcome memo and are not compared.
+        for stage in ("draw", "restart", "transient"):
+            assert stage_counts(forked)[stage] == (
+                stage_counts(sequential)[stage]
+            ), stage
+        workers = {pid for pid, name in lanes.items() if name != "runner"}
+        assert len(workers) >= 2
+        assert {pid for pid, _ in forked} <= workers

@@ -142,14 +142,20 @@ class TestMetricsPersistence:
         ).read_text()
 
     def test_write_trace(self, tmp_path):
-        from repro.obs import Tracer
+        from repro.obs.tracing import RunTrace
 
         store = RunStore.create(tmp_path, CampaignSpec(), run_id="r")
-        tracer = Tracer()
-        tracer.add_event("chunk.run", 0.0, 0.5, chunk=0)
-        store.write_trace(tracer)
+        run_trace = RunTrace()
+        run_trace.add_spans(
+            "w0",
+            [{"name": "chunk.run", "start_s": 0.0, "duration_s": 0.5,
+              "attrs": {"chunk": 0}}],
+        )
+        store.write_trace(run_trace.build())
         trace = json.loads((store.path / "trace.json").read_text())
-        assert trace["traceEvents"][0]["name"] == "chunk.run"
+        assert [e["name"] for e in trace["traceEvents"]] == [
+            "process_name", "thread_name", "chunk.run"
+        ]
 
 
 class TestCheckpoints:

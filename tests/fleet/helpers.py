@@ -35,13 +35,14 @@ class WorkerHandle:
     """A FleetWorker running on a daemon thread, stoppable from tests."""
 
     def __init__(self, url, worker_id, engine_factory=stub_factory,
-                 poll_s=0.05, max_chunks=None):
+                 poll_s=0.05, max_chunks=None, telemetry=True):
         self.worker = FleetWorker(
             ServiceClient(url, timeout_s=10),
             worker_id=worker_id,
             poll_s=poll_s,
             engine_factory=engine_factory,
             max_chunks=max_chunks,
+            telemetry=telemetry,
         )
         self.thread = threading.Thread(
             target=self.worker.run, name=f"test-{worker_id}", daemon=True
@@ -76,10 +77,12 @@ def fleet_server(tmp_path, lease_ttl_s=5.0, checkpoint_every=2,
 
 
 @contextlib.contextmanager
-def workers(url, n, engine_factory=stub_factory, poll_s=0.05):
+def workers(url, n, engine_factory=stub_factory, poll_s=0.05,
+            telemetry=True):
     handles = [
         WorkerHandle(
-            url, f"w{i}", engine_factory=engine_factory, poll_s=poll_s
+            url, f"w{i}", engine_factory=engine_factory, poll_s=poll_s,
+            telemetry=telemetry,
         ).start()
         for i in range(n)
     ]

@@ -1,5 +1,5 @@
 """Fleet telemetry: trace propagation, shipped spans/metrics/logs, the
-merged Chrome trace, events.jsonl, SLO quantiles, and stragglers.
+run's one Chrome trace, events.jsonl, SLO quantiles, and stragglers.
 
 The load-bearing invariant mirrors the e2e suite: telemetry shipping is
 *on by default* in every fleet test, so the bit-identical guarantee is
@@ -12,7 +12,7 @@ honoured end to end.
 import json
 
 from repro.campaign import CampaignSpec, StoppingConfig
-from repro.campaign.store import RunStore
+from repro.campaign.store import TRACE_FILE, RunStore
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.events import EventBus
 from repro.obs import MetricsRegistry, reset_warn_once
@@ -34,10 +34,12 @@ SPEC = CampaignSpec(
 )
 
 
-def run_fleet(server, spec=SPEC, n_workers=2, engine_factory=stub_factory):
+def run_fleet(server, spec=SPEC, n_workers=2, engine_factory=stub_factory,
+              telemetry=True):
     client = ServiceClient(server.url)
     response = client.submit(spec)
-    with workers(server.url, n_workers, engine_factory=engine_factory):
+    with workers(server.url, n_workers, engine_factory=engine_factory,
+                 telemetry=telemetry):
         wait_terminal(server.service, response["job_id"])
     job = server.service.get_job(response["job_id"])
     assert job.state == "done"
@@ -46,6 +48,12 @@ def run_fleet(server, spec=SPEC, n_workers=2, engine_factory=stub_factory):
 
 def run_store(server, job):
     return RunStore(server.service.runs_dir / job.run_id)
+
+
+def read_trace(store):
+    """The run's one trace; a fleet run writes no second trace file."""
+    assert [p.name for p in store.path.glob("trace*.json")] == ["trace.json"]
+    return json.loads((store.path / TRACE_FILE).read_text())
 
 
 def trace_lanes(trace):
@@ -68,7 +76,7 @@ class TestMergedTrace:
             job = run_fleet(
                 server, n_workers=3, engine_factory=slow_stub_factory(0.2)
             )
-            trace = run_store(server, job).read_fleet_trace()
+            trace = read_trace(run_store(server, job))
         lanes = trace_lanes(trace)
         worker_lanes = {
             pid for pid, name in lanes.items() if name.startswith("worker ")
@@ -92,7 +100,7 @@ class TestMergedTrace:
     def test_lease_annotations_pin_to_worker_lanes(self, tmp_path):
         with fleet_server(tmp_path) as server:
             job = run_fleet(server, n_workers=2)
-            trace = run_store(server, job).read_fleet_trace()
+            trace = read_trace(run_store(server, job))
         instants = [
             event for event in trace["traceEvents"] if event["ph"] == "i"
         ]
@@ -102,27 +110,21 @@ class TestMergedTrace:
         for event in instants:
             assert event["pid"] in lanes
 
-    def test_spec_gate_disables_shipping_but_not_the_result(
+    def test_worker_gate_disables_shipping_but_not_the_result(
         self, tmp_path
     ):
-        """``telemetry=False`` in the spec: same estimate, same records,
-        but no worker span lanes and no shipped-span accounting."""
-        spec = CampaignSpec(
-            seed=41, chunk_size=25, telemetry=False,
-            stopping=StoppingConfig(n_samples=150),
-        )
-        local_service, local_job = run_local_baseline(tmp_path, spec)
+        """Workers started with ``telemetry=False`` (``repro worker
+        --no-telemetry``): same estimate, same records, but no spans
+        shipped, so no trace file and no shipped-span accounting."""
+        local_service, local_job = run_local_baseline(tmp_path, SPEC)
         with fleet_server(tmp_path) as server:
-            job = run_fleet(server, spec=spec, n_workers=2)
+            job = run_fleet(server, n_workers=2, telemetry=False)
             assert_bit_identical(
                 local_service, local_job, server.service, job
             )
-            trace = run_store(server, job).read_fleet_trace()
+            store = run_store(server, job)
             metrics_text = ServiceClient(server.url).metrics_text()
-        assert not any(
-            name.startswith("worker ")
-            for name in trace_lanes(trace).values()
-        )
+        assert not list(store.path.glob("trace*.json"))
         assert "fleet_telemetry_spans_total" not in metrics_text
 
 
@@ -168,7 +170,7 @@ class TestEventsJsonl:
             assert job.state == "done"
             store = run_store(server, job)
             events = store.read_events()
-            trace = store.read_fleet_trace()
+            trace = read_trace(store)
         kinds = {event["type"] for event in events}
         assert "lease_expired" in kinds
         reissues = [
@@ -341,7 +343,7 @@ class TestOutOfBandTelemetry:
             with workers(server.url, 2):
                 wait_terminal(server.service, response["job_id"])
             job = server.service.get_job(response["job_id"])
-            trace = run_store(server, job).read_fleet_trace()
+            trace = read_trace(run_store(server, job))
         assert "worker lonely" in trace_lanes(trace).values()
 
     def test_unknown_job_is_a_polite_no(self, tmp_path):

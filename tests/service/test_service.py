@@ -1,5 +1,6 @@
 """EvaluationService: dedup, caching, execution, cancel, recovery."""
 
+import json
 import time
 
 import pytest
@@ -232,6 +233,37 @@ class TestRecovery:
             assert done.state == STATE_DONE
         finally:
             reborn.stop()
+
+    def test_finished_job_long_poll_ends_after_restart(self, tmp_path):
+        """The event bus lives in memory, so after a restart a finished
+        job's topic is empty; its long poll must still answer ``end``
+        rather than ``events: [], end: false`` on every call."""
+        from repro.service.router import ApiRequest, ApiRouter
+
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            job, _ = service.submit(SPEC)
+            wait_terminal(service, job.job_id)
+        finally:
+            service.stop()
+
+        reborn = make_service(tmp_path)
+        try:
+            response = ApiRouter(reborn).handle(
+                ApiRequest(
+                    "GET",
+                    f"/v1/campaigns/{job.job_id}/events",
+                    query={"poll": "1", "after": "0"},
+                )
+            )
+        finally:
+            reborn.stop(wait=False)
+        assert response.status == 200
+        page = json.loads(response.body)
+        assert page["events"] == []
+        assert page["next_after"] == 0
+        assert page["end"] is True
 
 
     def test_replayed_surrogate_job_fails_without_crashing(self, tmp_path):

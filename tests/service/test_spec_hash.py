@@ -174,17 +174,19 @@ class TestSemanticFields:
         assert spec_hash(CampaignSpec.from_dict(data)) == GOLDEN_DEFAULT
 
     def test_telemetry_is_not_semantic(self):
-        """Shipped worker telemetry is forced non-deterministic on
-        ingest and can never reach the estimator, so the flag must not
-        split the result cache."""
-        assert spec_hash(CampaignSpec(telemetry=False)) == spec_hash(
-            CampaignSpec(telemetry=True)
-        )
+        """The retired ``telemetry`` field (fleet shipping, now the
+        worker's ``--no-telemetry`` alone) loads at either value and
+        never splits the result cache."""
+        base = CampaignSpec().to_dict()
+        assert spec_hash(
+            CampaignSpec.from_dict({**base, "telemetry": False})
+        ) == spec_hash(CampaignSpec.from_dict({**base, "telemetry": True}))
 
     def test_telemetry_off_still_matches_the_golden_pin(self):
-        # PR 7 introduced ``telemetry`` without a schema bump: hashes
-        # from before the field existed must keep resolving.
-        assert spec_hash(CampaignSpec(telemetry=False)) == GOLDEN_DEFAULT
+        # ``telemetry`` came and went without a schema bump: documents
+        # from before, during and after the field must keep resolving.
+        data = {**CampaignSpec().to_dict(), "telemetry": False}
+        assert spec_hash(CampaignSpec.from_dict(data)) == GOLDEN_DEFAULT
 
     def test_canonical_dict_drops_non_semantic_fields(self):
         data = canonical_spec_dict(CampaignSpec(trace=True))
