@@ -1330,7 +1330,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--priority", type=int, default=0,
                     help="priority for every member campaign")
     ps.add_argument("--poll", type=float, default=0.2,
-                    help="member-job poll interval in seconds")
+                    help="longest wait in seconds between member status "
+                    "refreshes (the sweep wakes on member job events)")
     ps.add_argument("--timeout", type=float, default=3600.0,
                     help="overall sweep timeout in seconds")
     ps.add_argument("--quiet", action="store_true",

@@ -25,6 +25,7 @@ from typing import Optional, Union
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ServiceError
 from repro.service.jobs import TERMINAL_STATES
+from repro.service.router import MAX_POLL_WAIT_S
 
 
 class ServiceClient:
@@ -215,22 +216,53 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
+    def events_turn(
+        self, job_id: str, after: int, poll_s: float, deadline: float
+    ) -> dict:
+        """One long-poll turn of the job's event stream.
+
+        The turn returns as soon as the job has events at or after
+        ``after``, and blocks at most ``poll_s``.  It never blocks past
+        ``deadline`` (a :func:`time.monotonic` value), past the
+        service's :data:`~repro.service.router.MAX_POLL_WAIT_S`, or for
+        more than half this client's socket timeout: a turn that
+        outlives the socket would be retried as a transport failure.
+        """
+        timeout_s = min(
+            poll_s,
+            deadline - time.monotonic(),
+            MAX_POLL_WAIT_S,
+            self.timeout_s / 2,
+        )
+        return self.events(job_id, after=after, timeout_s=max(0.0, timeout_s))
+
     def wait(
         self,
         job_id: str,
         timeout_s: float = 300.0,
         poll_s: float = 0.2,
     ) -> dict:
-        """Poll until the job reaches a terminal state; returns its
-        final status document."""
+        """Block until the job reaches a terminal state; returns its
+        final status document.
+
+        The wait follows the job's event stream, so it returns when the
+        job ends, not at the next poll.  ``poll_s`` is the longest one
+        turn blocks without events before the job's status is read
+        again: that read ends the wait on a job whose events this
+        service process no longer holds.
+        """
         deadline = time.monotonic() + timeout_s
+        after = 0
         while True:
-            status = self.status(job_id)
-            if status["state"] in TERMINAL_STATES:
-                return status
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {status['state']} after "
-                    f"{timeout_s:.0f}s"
-                )
-            time.sleep(poll_s)
+            page = self.events_turn(job_id, after, poll_s, deadline)
+            after = page["next_after"]
+            expired = time.monotonic() >= deadline
+            if page["end"] or not page["events"] or expired:
+                status = self.status(job_id)
+                if status["state"] in TERMINAL_STATES:
+                    return status
+                if expired:
+                    raise ServiceError(
+                        f"job {job_id} still {status['state']} after "
+                        f"{timeout_s:.0f}s"
+                    )

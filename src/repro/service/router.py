@@ -337,15 +337,29 @@ class ApiRouter:
             raise ServiceError("'after' must be an integer", status=400)
         if request.query.get("poll"):
             return self._long_poll(request, job, after)
+        if self._ended_without_events(job):
+            end = {"type": EVENT_END, "job_id": job.job_id,
+                   "state": job.state}
+            return ApiResponse(
+                200, format_sse(0, end), EventStreamResponse.content_type
+            )
         return EventStreamResponse(topic=job_id, after=after)
+
+    def _ended_without_events(self, job) -> bool:
+        """A terminal job with no events on this process's in-memory
+        bus (it finished before the process started, or is a cache hit
+        on a run found on disk) has a stream that can only end: the
+        long poll and the SSE stream both answer it with ``end`` at
+        once."""
+        return job.terminal and self.service.events.last_seq(job.job_id) == 0
 
     def _long_poll(self, request: ApiRequest, job, after: int) -> ApiResponse:
         """One blocking wait, answered as plain JSON.
 
         A terminal job answers instantly from the buffer (never parks
-        the client), so ``curl`` against a finished run always returns.
-        The bus lives in memory: a job that finished before this process
-        started has no events on it, and answers ``end`` straight away.
+        the client), so ``curl`` against a finished run always returns,
+        with ``end`` straight away if it finished before this process
+        started.
         """
         try:
             timeout_s = float(request.query.get("timeout", 10.0))
@@ -358,9 +372,9 @@ class ApiRouter:
         else:
             events = bus.wait(job.job_id, after, timeout_s=timeout_s)
         next_after = max((seq for seq, _ in events), default=after - 1) + 1
-        end = any(is_end_event(event) for _, event in events) or (
-            job.terminal and bus.last_seq(job.job_id) == 0
-        )
+        end = any(
+            is_end_event(event) for _, event in events
+        ) or self._ended_without_events(job)
         return ApiResponse.json(
             200,
             {

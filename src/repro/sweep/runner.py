@@ -39,7 +39,13 @@ DEFAULT_FANOUT_BATCH = 64
 
 
 class SweepRunner:
-    """Drive one hardening sweep against a running evaluation service."""
+    """Drive one hardening sweep against a running evaluation service.
+
+    ``poll_s`` is the longest the runner waits on a member's event
+    stream before it reads every pending member's status again; a
+    member's state change wakes it at once.  ``timeout_s`` bounds the
+    whole wait, to within one long-poll turn.
+    """
 
     def __init__(
         self,
@@ -170,48 +176,39 @@ class SweepRunner:
     # watching
     # ------------------------------------------------------------------
     def _watch(self, plan, jobs: Dict[str, dict]) -> None:
-        """Poll member jobs until all are terminal (or the sweep times
-        out); failed or cancelled members fail the sweep."""
+        """Wait until every member job is terminal (or the sweep times
+        out); failed or cancelled members fail the sweep.
+
+        The wait blocks on the event stream of the first unfinished
+        member in plan order: with one job thread, the one running now.
+        Its progress events only continue the wait.  A state change,
+        the stream's end, or a turn of ``poll_s`` without events
+        refreshes every pending member's status, so the sweep sees its
+        last member finish when it finishes.
+        """
         deadline = time.monotonic() + self.timeout_s
         pending = {
             label: response["job_id"]
             for label, response in jobs.items()
             if response["state"] not in TERMINAL_STATES
         }
+        cursors: Dict[str, int] = {}
         while pending:
             if time.monotonic() >= deadline:
                 raise SweepError(
                     f"sweep {self.store.sweep_id} timed out with "
                     f"{len(pending)} of {len(jobs)} points unfinished"
                 )
-            time.sleep(self.poll_s)
-            changed = False
-            for label, job_id in list(pending.items()):
-                status = self.client.status(job_id)
-                if status["state"] == jobs[label]["state"]:
-                    continue
-                jobs[label] = {**jobs[label], **status}
-                changed = True
-                self.store.record_point(
-                    {
-                        "label": label,
-                        "job_id": job_id,
-                        "state": status["state"],
-                    }
-                )
-                self._publish(
-                    {
-                        "type": "point",
-                        "sweep_id": self.store.sweep_id,
-                        "label": label,
-                        "job_id": job_id,
-                        "state": status["state"],
-                    }
-                )
-                if status["state"] in TERMINAL_STATES:
-                    del pending[label]
-            if changed:
-                self._refresh(plan, jobs)
+            label, job_id = next(iter(pending.items()))
+            page = self.client.events_turn(
+                job_id, cursors.get(label, 0), self.poll_s, deadline
+            )
+            cursors[label] = page["next_after"]
+            if page["end"] or not page["events"] or any(
+                item["event"].get("type") == "state"
+                for item in page["events"]
+            ):
+                self._poll_pending(plan, jobs, pending)
         failed = sorted(
             label
             for label, response in jobs.items()
@@ -228,6 +225,39 @@ class SweepRunner:
                 f"sweep {self.store.sweep_id} has "
                 f"{len(failed)} failed point(s): " + "; ".join(details)
             )
+
+    def _poll_pending(
+        self, plan, jobs: Dict[str, dict], pending: Dict[str, str]
+    ) -> None:
+        """Read every pending member's status; log and publish each
+        change, and drop members that reached a terminal state."""
+        changed = False
+        for label, job_id in list(pending.items()):
+            status = self.client.status(job_id)
+            if status["state"] == jobs[label]["state"]:
+                continue
+            jobs[label] = {**jobs[label], **status}
+            changed = True
+            self.store.record_point(
+                {
+                    "label": label,
+                    "job_id": job_id,
+                    "state": status["state"],
+                }
+            )
+            self._publish(
+                {
+                    "type": "point",
+                    "sweep_id": self.store.sweep_id,
+                    "label": label,
+                    "job_id": job_id,
+                    "state": status["state"],
+                }
+            )
+            if status["state"] in TERMINAL_STATES:
+                del pending[label]
+        if changed:
+            self._refresh(plan, jobs)
 
     # ------------------------------------------------------------------
     # progress surfaces

@@ -265,6 +265,40 @@ class TestRecovery:
         assert page["next_after"] == 0
         assert page["end"] is True
 
+    def test_finished_job_sse_stream_ends_after_restart(self, tmp_path):
+        """The SSE half of the same rule: the stream sends one ``end``
+        frame and closes, instead of keepalives until the client gives
+        up.  The short client timeout turns a hang into a failure."""
+        import urllib.request
+
+        from repro.service import ServiceServer
+
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            job, _ = service.submit(SPEC)
+            wait_terminal(service, job.job_id)
+        finally:
+            service.stop()
+
+        server = ServiceServer(make_service(tmp_path), port=0)
+        server.start()
+        try:
+            url = f"{server.url}/v1/campaigns/{job.job_id}/events"
+            with urllib.request.urlopen(url, timeout=3) as stream:
+                content_type = stream.headers["Content-Type"]
+                body = stream.read().decode("utf-8")
+        finally:
+            server.stop()
+        assert content_type == "text/event-stream"
+        frames = [
+            json.loads(line[len("data: "):])
+            for line in body.splitlines()
+            if line.startswith("data: ")
+        ]
+        assert frames == [
+            {"type": "end", "job_id": job.job_id, "state": STATE_DONE}
+        ]
 
     def test_replayed_surrogate_job_fails_without_crashing(self, tmp_path):
         """A job queued for the removed surrogate engine, replayed from
