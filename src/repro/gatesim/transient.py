@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,9 +30,12 @@ from repro.gatesim.timing import TimingModel
 from repro.netlist.graph import Netlist
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """One voltage transient at a node output: [start, start + width)."""
+class Pulse(NamedTuple):
+    """One voltage transient at a node output: [start, start + width).
+
+    A tuple, so it equals the plain ``(start, width)`` pair the kernel
+    stores for a pulse that no merge touched.
+    """
 
     start_ps: float
     width_ps: float
@@ -42,6 +46,11 @@ class Pulse:
 
     def overlaps(self, lo: float, hi: float) -> bool:
         return self.start_ps < hi and self.end_ps > lo
+
+
+#: One sample's pulses per node id, each a ``(start, width)`` tuple: a
+#: ``Pulse`` where the pulse was seeded or merged, else a plain tuple.
+PulseMap = Dict[int, List[Tuple[float, float]]]
 
 
 @dataclass
@@ -112,6 +121,10 @@ class TransientSimulator:
         timing: Optional[TimingModel] = None,
         max_pulses_per_node: int = 8,
     ):
+        if max_pulses_per_node < 1:
+            raise SimulationError(
+                f"max_pulses_per_node must be at least 1, got {max_pulses_per_node}"
+            )
         self.netlist = netlist
         self.timing = timing or TimingModel()
         self.evaluator = LogicEvaluator(netlist)
@@ -123,10 +136,14 @@ class TransientSimulator:
         self._delay = [self.timing.gate_delay(n.kind) for n in nodes]
         self._arrival = self._compute_arrival_times()
         self._dffs = [n for n in nodes if n.is_dff and n.fanins]
+        self._d_pins = [node.fanins[0] for node in self._dffs]
         # D-pin node -> indices into ``_dffs`` of the flops it feeds.
         self._dffs_at: Dict[int, List[int]] = {}
-        for di, node in enumerate(self._dffs):
-            self._dffs_at.setdefault(node.fanins[0], []).append(di)
+        for di, d_pin in enumerate(self._d_pins):
+            self._dffs_at.setdefault(d_pin, []).append(di)
+        # Pin-bit table: node -> ``consumer << 3 | bits`` per gate it
+        # drives, filled on the node's first visit (see _fanout_pins).
+        self._pin_bits: List[Optional[Tuple[int, ...]]] = [None] * len(nodes)
 
     def _compute_arrival_times(self) -> List[float]:
         """Static settle time of each node output within a cycle."""
@@ -252,73 +269,110 @@ class TransientSimulator:
     # internals
     # ------------------------------------------------------------------
     def _seed_pulses(self, injection: TransientInjection) -> Dict[int, List[Pulse]]:
+        combinational = self._combinational
+        arrival = self._arrival
+        min_pulse = self.timing.min_pulse_ps
+        strike = injection.strike_time_ps
         pulses: Dict[int, List[Pulse]] = {}
         for nid, width in injection.gate_pulses.items():
-            if not self._combinational[nid]:
+            if not combinational[nid]:
                 continue  # strikes on non-gates handled via struck_dffs
-            if width < self.timing.min_pulse_ps:
+            if width < min_pulse:
                 continue
             # The transient appears at the struck gate's output once the
             # strike has happened and the gate has settled.
-            start = max(injection.strike_time_ps, self._arrival[nid])
-            pulses.setdefault(nid, []).append(Pulse(start, width))
+            pulses[nid] = [Pulse(max(strike, arrival[nid]), width)]
         return pulses
 
-    def _sweep_cone(
-        self, baseline: CycleBaseline, pulses: Dict[int, List[Pulse]]
-    ) -> None:
+    def _fanout_pins(self, nid: int) -> Tuple[int, ...]:
+        """Pin-bit table entry of ``nid``, built on its first visit.
+
+        One ``consumer << 3 | bits`` per gate ``nid`` drives, where bit
+        ``pin`` of ``bits`` is set for every pin of that gate ``nid``
+        feeds (gates have at most three pins), so ``mask[consumer] &
+        entry`` is non-zero iff some pin ``nid`` drives is sensitized.
+        Flip-flops are left out: their mask byte is 0.
+        """
+        nodes = self.netlist.nodes
+        entries = []
+        for c in dict.fromkeys(self.netlist.fanouts()[nid]):
+            if not self._combinational[c]:
+                continue
+            bits = 0
+            for pin, f in enumerate(nodes[c].fanins):
+                if f == nid:
+                    bits |= 1 << pin
+            entries.append(c << 3 | bits)
+        # A tuple: the table lives as long as the simulator.
+        self._pin_bits[nid] = packed = tuple(entries)
+        return packed
+
+    def _sweep_cone(self, baseline: CycleBaseline, pulses: PulseMap) -> None:
         """Exact propagation of one sample's pulses through its fanout cone.
 
         A heap pops nodes in topological order, seeded with the struck
         gates.  Ascending node id is such an order, because
         :meth:`Netlist.add_gate` only accepts fanins that already exist.
         A combinational consumer is pushed only through a pin the
-        baseline's pin mask sensitizes, and every pin a node drives is
-        tested, since one node can feed a gate twice.  A node off that
+        baseline's pin mask sensitizes: one AND of the mask byte with the
+        node's pin-bit table entry, which covers every pin the node
+        drives, since one node can feed a gate twice.  A node off that
         cone can never receive a pulse, and each popped node gets the
         full-netlist sweep's update — same (pin, fanin) order,
         attenuation, merge and truncation — so the final pulse map is
         bit-identical to sweeping every node.
+
+        Propagated pulses are plain ``(start, width)`` tuples.  A node
+        that holds none and receives exactly one takes it as is: merging
+        one pulse and truncating it to ``max_pulses_per_node >= 1`` is
+        the identity.
         """
         nodes = self.netlist.nodes
-        fanouts = self.netlist.fanouts()
+        table = self._pin_bits
+        delays = self._delay
         mask = baseline.pin_mask
+        attenuation = self.timing.attenuation_ps
+        min_pulse = self.timing.min_pulse_ps
+        cap = self.max_pulses_per_node
+        heappop, heappush = heapq.heappop, heapq.heappush
         heap = list(pulses)
         heapq.heapify(heap)
         queued = set(heap)
         while heap:
-            nid = heapq.heappop(heap)
+            nid = heappop(heap)
             sensitized = mask[nid]
-            delay = self._delay[nid]
-            incoming: List[Pulse] = []
-            for pin, f in enumerate(nodes[nid].fanins):
-                if f not in pulses or not (sensitized >> pin) & 1:
-                    continue  # no pulse, or logical masking
-                for pulse in pulses[f]:
-                    width = self.timing.attenuate(pulse.width_ps)
-                    if width <= 0:
-                        continue  # electrical masking
-                    incoming.append(Pulse(pulse.start_ps + delay, width))
-            if incoming:
-                merged = _merge_pulses(incoming)
-                existing = pulses.get(nid, [])
-                pulses[nid] = _merge_pulses(existing + merged)[
-                    : self.max_pulses_per_node
-                ]
-            elif nid not in pulses:
-                continue  # every arriving pulse was masked
-            for c in fanouts[nid]:
-                if c in queued:
-                    continue
-                sensitized = mask[c]  # 0 for flip-flops
-                for pin, f in enumerate(nodes[c].fanins):
-                    if f == nid and (sensitized >> pin) & 1:
-                        queued.add(c)
-                        heapq.heappush(heap, c)
-                        break
+            if sensitized:  # 0 only at a struck gate no pulse can enter
+                delay = delays[nid]
+                incoming = []
+                pin = 1
+                for f in nodes[nid].fanins:
+                    if sensitized & pin and f in pulses:
+                        for start, width in pulses[f]:
+                            # Electrical masking, as TimingModel.attenuate.
+                            remaining = width - attenuation
+                            if remaining >= min_pulse:
+                                incoming.append((start + delay, remaining))
+                    pin <<= 1
+                if incoming:
+                    if len(incoming) == 1 and nid not in pulses:
+                        pulses[nid] = incoming
+                    else:
+                        merged = _merge_pulses(incoming)
+                        existing = pulses.get(nid, [])
+                        pulses[nid] = _merge_pulses(existing + merged)[:cap]
+                elif nid not in pulses:
+                    continue  # every arriving pulse was masked
+            entries = table[nid]
+            if entries is None:
+                entries = self._fanout_pins(nid)
+            for entry in entries:
+                c = entry >> 3
+                if c not in queued and mask[c] & entry:
+                    queued.add(c)
+                    heappush(heap, c)
 
     def _latch_batch(
-        self, per_sample: Sequence[Dict[int, List[Pulse]]]
+        self, per_sample: Sequence[PulseMap]
     ) -> Tuple[List[Set[Tuple[str, int]]], List[int]]:
         """Batched latch-window classification across every sample.
 
@@ -327,6 +381,8 @@ class TransientSimulator:
         counts as latched for a sample when any of that sample's pulses
         at its D pin hits the window.
         """
+        dffs_at = self._dffs_at
+        d_pins = self._d_pins
         flipped: List[Set[Tuple[str, int]]] = [set() for _ in per_sample]
         latched = [0] * len(per_sample)
         starts: List[float] = []
@@ -335,12 +391,12 @@ class TransientSimulator:
         for b, pulses in enumerate(per_sample):
             # Only flops whose D pin carries a pulse, in ``_dffs`` order.
             hit = sorted(
-                di for nid in pulses for di in self._dffs_at.get(nid, ())
+                di for nid in pulses if nid in dffs_at for di in dffs_at[nid]
             )
             for di in hit:
-                for pulse in pulses[self._dffs[di].fanins[0]]:
-                    starts.append(pulse.start_ps)
-                    widths.append(pulse.width_ps)
+                for start, width in pulses[d_pins[di]]:
+                    starts.append(start)
+                    widths.append(width)
                     owners.append((b, di))
         if starts:
             hits = self.timing.latch_hits(starts, widths)
@@ -358,17 +414,27 @@ class TransientSimulator:
         return flipped, latched
 
 
-def _merge_pulses(pulses: Sequence[Pulse]) -> List[Pulse]:
-    """Coalesce overlapping pulses at one node into maximal intervals."""
+_start = itemgetter(0)
+
+
+def _merge_pulses(pulses: Sequence[Tuple[float, float]]) -> List[Pulse]:
+    """Coalesce overlapping pulses at one node into maximal intervals.
+
+    A stable sort on the start alone; each merged end is recomputed as
+    ``start + width`` from the interval built so far.
+    """
     if not pulses:
         return []
-    ordered = sorted(pulses, key=lambda p: p.start_ps)
-    merged: List[Pulse] = [ordered[0]]
-    for pulse in ordered[1:]:
-        last = merged[-1]
-        if pulse.start_ps <= last.end_ps:
-            end = max(last.end_ps, pulse.end_ps)
-            merged[-1] = Pulse(last.start_ps, end - last.start_ps)
+    ordered = sorted(pulses, key=_start)
+    last_start, last_width = ordered[0]
+    merged: List[Pulse] = []
+    for start, width in ordered[1:]:
+        last_end = last_start + last_width
+        if start <= last_end:
+            end = start + width
+            last_width = max(last_end, end) - last_start
         else:
-            merged.append(pulse)
+            merged.append(Pulse(last_start, last_width))
+            last_start, last_width = start, width
+    merged.append(Pulse(last_start, last_width))
     return merged

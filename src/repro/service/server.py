@@ -32,6 +32,11 @@ from repro.service.service import EvaluationService
 #: Largest request body the server reads; a longer one is refused.
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
+#: How often the listener checks for a shutdown request: the longest
+#: :meth:`ServiceServer.stop` waits for it (``serve_forever``'s default
+#: is 0.5 s).
+POLL_INTERVAL_S = 0.05
+
 
 class ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service + router for handlers."""
@@ -181,6 +186,7 @@ class ServiceServer:
         self.service.start()
         self._thread = threading.Thread(
             target=self.httpd.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL_S},
             name="repro-service-http",
             daemon=True,
         )

@@ -13,9 +13,12 @@ Random netlists from ``tests/strategies.py`` exercise DAG shapes the
 MPU cannot: deep MUX trees, constant feeds, multi-fanout reconvergence.
 ``max_pulses_per_node`` is drawn from {1, 2, 8} so that truncation
 actually bites; batch shapes are ragged, plus the all-masked and
-all-latched extremes.  Directed cases pin two faults random draws
-rarely reach: one signal on two pins of a gate, and a truncated pulse
-that would have latched.
+all-latched extremes.  Directed cases pin faults random draws rarely
+reach: one signal on two pins of a gate (either one sensitized), a
+truncated pulse that would have latched, and a pulse that leaves a
+stage exactly ``min_pulse_ps`` wide.  Random netlists are tiny, so
+importance-sampled radiation strikes on the write benchmark's MPU,
+whose cones end with tens of pulsed nodes, are checked as well.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import default_attack_spec
 from repro.gatesim.timing import TimingModel
 from repro.gatesim.transient import (
     Pulse,
@@ -32,6 +36,7 @@ from repro.gatesim.transient import (
 )
 from repro.netlist.cells import GateKind, gate_sensitized
 from repro.netlist.graph import Netlist
+from repro.sampling import ImportanceSampler
 
 from tests.strategies import random_netlists
 
@@ -250,10 +255,12 @@ class TestKernelReferenceEdges:
                 assert result.n_pulses_injected == 0
                 assert not result.any_fault
 
-    def test_one_signal_on_two_pins(self):
-        """MUX(s, x, x) with s=1: x reaches the MUX through the masked
-        first data pin and the sensitized second one, so the MUX must be
-        visited through its second pin."""
+    @pytest.mark.parametrize("select", (0, 1))
+    def test_one_signal_on_two_pins(self, select):
+        """MUX(s, x, x): x reaches the MUX through both data pins, and
+        the select sensitizes one of them, the first with s=0 and the
+        second with s=1, so the MUX must be visited through whichever
+        pin that is."""
         nl = Netlist("mux-twice")
         sel = nl.add_input("s")
         x = nl.add_gate(GateKind.BUF, nl.add_input("a"))
@@ -262,7 +269,7 @@ class TestKernelReferenceEdges:
         nl.connect_dff(q, mux)
         nl.validate()
         sim = TransientSimulator(nl, TimingModel(clock_period_ps=1000.0))
-        inputs, state = {"s": 1, "a": 0}, {"q": 0}
+        inputs, state = {"s": select, "a": 0}, {"q": 0}
         injection = TransientInjection(
             gate_pulses={x: 200.0}, strike_time_ps=900.0
         )
@@ -298,3 +305,60 @@ class TestKernelReferenceEdges:
         result = sim.simulate_cycle(inputs, state, injection)
         assert result.flipped_bits == (set() if cap == 1 else {("q", 0)})
         _assert_matches_reference(sim, inputs, state, [injection])
+
+    @pytest.mark.parametrize("width, reaches", ((18.0, True), (17.999, False)))
+    def test_attenuation_boundary(self, width, reaches):
+        """BUF -> BUF with the default 6 ps attenuation and 12 ps minimum:
+        a struck 18 ps pulse leaves the second BUF exactly 12 ps wide and
+        survives (``remaining >= min_pulse_ps``); 17.999 ps dies there."""
+        nl = Netlist("buf-chain")
+        first = nl.add_gate(GateKind.BUF, nl.add_input("a"))
+        second = nl.add_gate(GateKind.BUF, first)
+        q = nl.add_dff(name="q[0]", register="q", bit=0)
+        nl.connect_dff(q, second)
+        nl.validate()
+        sim = TransientSimulator(nl)
+        assert (sim.timing.attenuation_ps, sim.timing.min_pulse_ps) == (6.0, 12.0)
+        inputs, state = {"a": 0}, {"q": 0}
+        injection = TransientInjection(
+            gate_pulses={first: width}, strike_time_ps=0.0
+        )
+        pulses = sim._seed_pulses(injection)
+        sim._sweep_cone(sim.make_baseline(inputs, state), pulses)
+        if reaches:
+            assert [w for _start, w in pulses[second]] == [12.0]
+        else:
+            assert second not in pulses
+        _assert_matches_reference(sim, inputs, state, [injection])
+
+
+class TestKernelReferenceMpu:
+    def test_importance_sampled_strikes(self, small_context):
+        """Radiation strikes drawn by the importance sampler on the write
+        benchmark's MPU netlist, each checked against the reference at
+        its own injection cycle's golden stimulus: tens of pulsed nodes
+        per cone, struck gates inside other struck gates' cones, and
+        nodes that merge several pulses."""
+        context = small_context
+        spec = default_attack_spec(context, window=10)
+        sampler = ImportanceSampler(
+            spec, context.characterization, placement=context.placement
+        )
+        sim = TransientSimulator(context.netlist, context.timing)
+        rng = np.random.default_rng(29)
+        n_checked = n_pulsed = n_merged = 0
+        while n_checked < 40:
+            sample = sampler.sample(rng)
+            cycle = context.target_cycle - sample.t
+            if not 0 <= cycle < len(context.mpu_trace):
+                continue
+            entry = context.mpu_trace[cycle]
+            injection = spec.build_injection(context.placement, sample, rng)
+            _assert_matches_reference(sim, entry.inputs, entry.state, [injection])
+            pulses = sim._seed_pulses(injection)
+            sim._sweep_cone(sim.make_baseline(entry.inputs, entry.state), pulses)
+            n_pulsed += len(pulses)
+            n_merged += sum(len(p) > 1 for p in pulses.values())
+            n_checked += 1
+        assert n_pulsed >= 10 * n_checked
+        assert n_merged > 0

@@ -46,6 +46,32 @@ class TestPulse:
     def test_merge_empty(self):
         assert _merge_pulses([]) == []
 
+    def test_equals_a_plain_pair(self):
+        assert Pulse(100.0, 50.0) == (100.0, 50.0)
+        assert _merge_pulses([(5.0, 10.0), (0.0, 10.0)]) == [(0.0, 15.0)]
+
+    def test_merge_keeps_the_longer_end(self):
+        """A pulse inside another leaves the outer end; the kernel
+        reference test merges through this same function, so only a
+        direct check sees it."""
+        assert _merge_pulses([(0.0, 20.0), (5.0, 5.0)]) == [(0.0, 20.0)]
+        assert _merge_pulses([(7.0, 3.0), (7.0, 9.0)]) == [(7.0, 9.0)]
+
+    def test_merge_joins_touching_pulses(self):
+        assert _merge_pulses([(0.0, 10.0), (10.0, 5.0)]) == [(0.0, 15.0)]
+        assert _merge_pulses([(0.0, 10.0), (10.5, 5.0)]) == [
+            (0.0, 10.0),
+            (10.5, 5.0),
+        ]
+
+
+class TestPulseCap:
+    @pytest.mark.parametrize("cap", (0, -1))
+    def test_cap_below_one_rejected(self, cap):
+        nl, _gates, _q = straight_path_design(1)
+        with pytest.raises(SimulationError, match=f"got {cap}"):
+            TransientSimulator(nl, max_pulses_per_node=cap)
+
 
 class TestLatchWindow:
     def make(self, **kw):

@@ -1,6 +1,7 @@
 """HTTP API end-to-end over a real socket (stub engine underneath)."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -222,3 +223,19 @@ class TestErrors:
         client = ServiceClient("http://127.0.0.1:1", timeout_s=1)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
+
+
+def test_stop_returns_at_once(tmp_path):
+    """stop() waits for the listener's next shutdown check, at most
+    server.POLL_INTERVAL_S, not serve_forever's default half second."""
+    for i in range(5):
+        service = EvaluationService(
+            tmp_path / f"runs{i}",
+            engine_factory=lambda spec: (BernoulliEngine(), StubSampler()),
+        )
+        srv = ServiceServer(service, port=0)
+        srv.start()
+        ServiceClient(srv.url).healthz()
+        started = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - started < 0.15
