@@ -11,12 +11,14 @@ to the sample log, so ``campaign resume`` can rebuild the exact runtime
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from repro.errors import EvaluationError
+from repro.utils.memo import LruMemo
 
 #: Stopping modes understood by :func:`repro.campaign.stopping.build_stopping_rule`.
 STOPPING_MODES = ("fixed", "risk", "ci")
@@ -36,6 +38,17 @@ LEGACY_FIELDS = ("batch", "engine", "fidelity", "calibration", "telemetry")
 
 #: The one value each retired backend selector may still carry.
 RETIRED_VALUES = {"engine": "exact", "fidelity": "single"}
+
+#: Entries of the per-process design memo: designs (about 6 MB each) and
+#: importance tables, least recently used evicted first.
+DESIGN_MEMO_SIZE = 8
+
+_DESIGNS = LruMemo(DESIGN_MEMO_SIZE)
+
+
+def clear_design_memo() -> None:
+    """Forget every memoized design, so the next build of each runs setup."""
+    _DESIGNS.clear()
 
 
 @dataclass(frozen=True)
@@ -174,40 +187,79 @@ class CampaignSpec:
     # runtime construction
     # ------------------------------------------------------------------
     def build_context(self):
-        """The evaluation context of this spec's benchmark and variant.
+        """A context of its own on this spec's design.
 
-        With ``charac_cache`` unset the pre-characterization runs in
-        process; otherwise it is loaded from that file (written by
-        ``repro characterize`` or the artifact store).  A path that does
-        not exist raises :class:`EvaluationError` naming it, before any
-        build work: a mistyped path must not turn into a silent
+        The design (netlist, placement, golden run, characterization)
+        comes from a per-process memo, so each design's setup runs once
+        per process (see :meth:`_design`).  With ``charac_cache`` unset
+        the pre-characterization runs in process; otherwise it is loaded
+        from that file (written by ``repro characterize`` or the
+        artifact store).  A path that does not exist raises
+        :class:`EvaluationError` naming it, before any lookup or build
+        work: a mistyped path must not turn into a silent
         re-characterization.
 
         Imports here and in :meth:`build_runtime` are local: the spec
         itself stays cheap to import for tooling that only inspects run
         metadata.
         """
-        from repro.core.context import build_context
+        from repro.core.context import EvaluationContext
+
+        return EvaluationContext.for_design(self._design()[1])
+
+    def _design(self):
+        """``(key, design)`` of this spec's benchmark and variant.
+
+        The memo key is the design's content: benchmark, variant, memory
+        map, and where the characterization comes from, which is the
+        sha256 of the ``charac_cache`` file's bytes or "computed in
+        process".  A file rewritten in place is a
+        miss; the same bytes at another path are a hit.  A miss builds
+        through :func:`repro.core.context.build_context`, and a loaded
+        characterization is parsed from the bytes that were hashed.
+        """
+        from repro.soc.memmap import DEFAULT_MEMORY_MAP
         from repro.soc.mpu import MpuVariant
+
+        variant = MpuVariant.parse(self.variant)
+        data = None
+        source = "computed in process"
+        if self.charac_cache:
+            path = pathlib.Path(self.charac_cache)
+            if not path.exists():
+                raise EvaluationError(
+                    f"pre-characterization cache {str(path)!r} does not exist "
+                    f"(write it with `repro characterize --out {path}`)"
+                )
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise EvaluationError(
+                    f"cannot read pre-characterization cache {str(path)!r}: "
+                    f"{exc}"
+                ) from exc
+            source = hashlib.sha256(data).hexdigest()
+        key = ("design", self.benchmark, variant.name, DEFAULT_MEMORY_MAP, source)
+        return key, _DESIGNS.get(key, lambda: self._build_design(variant, data))
+
+    def _build_design(self, variant, charac_data: Optional[bytes]):
+        from repro.core.context import build_context
         from repro.soc.programs import BENCHMARKS
 
         benchmark = BENCHMARKS[self.benchmark]()
-        variant = MpuVariant.parse(self.variant)
-        if not self.charac_cache:
-            return build_context(benchmark, mpu_variant=variant)
-        path = pathlib.Path(self.charac_cache)
-        if not path.exists():
-            raise EvaluationError(
-                f"pre-characterization cache {str(path)!r} does not exist "
-                f"(write it with `repro characterize --out {path}`)"
-            )
+        if charac_data is None:
+            return build_context(benchmark, mpu_variant=variant).design
         from repro.precharac.persistence import load_characterization
 
-        context = build_context(
+        design = build_context(
             benchmark, characterize=False, mpu_variant=variant
+        ).design
+        return dataclasses.replace(
+            design,
+            characterization=load_characterization(
+                self.charac_cache, design.netlist, data=charac_data
+            ),
         )
-        context.characterization = load_characterization(path, context.netlist)
-        return context
 
     def build_runtime(self):
         """Build the (engine, sampler) pair this spec describes.
@@ -215,13 +267,19 @@ class CampaignSpec:
         This is the one place a spec's names and artifact paths become a
         runtime: the CLI verbs, the service, fleet workers and replay
         build through it (``repro characterize`` through
-        :meth:`build_context` alone).
+        :meth:`build_context` alone).  The engine gets a context and an
+        attack spec of its own on the memoized design; the importance
+        sampler's tables are memoized next to the design, keyed by the
+        design and the fields they read (``window`` and
+        ``subblock_fraction``).
         """
         from repro import default_attack_spec
+        from repro.core.context import EvaluationContext
         from repro.core.engine import CrossLevelEngine
         from repro.sampling import make_sampler
 
-        context = self.build_context()
+        key, design = self._design()
+        context = EvaluationContext.for_design(design)
         attack = default_attack_spec(
             context,
             window=self.window,
@@ -233,7 +291,13 @@ class CampaignSpec:
             attack,
             baseline_store=self._build_baseline_store(context),
         )
-        return engine, make_sampler(self.sampler, attack, context)
+        tables = None
+        if self.sampler == "importance":
+            tables = _DESIGNS.get(
+                ("importance", key, self.window, self.subblock_fraction),
+                lambda: make_sampler(self.sampler, attack, context).tables,
+            )
+        return engine, make_sampler(self.sampler, attack, context, tables=tables)
 
     def _build_baseline_store(self, context):
         """The persistent cycle-baseline store, or None when unset.

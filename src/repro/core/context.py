@@ -1,8 +1,6 @@
-"""Evaluation context: everything wired together for one benchmark.
+"""Evaluation context: one benchmark's shared design plus one engine's SoC.
 
-:func:`build_context` performs the framework's setup stages once
-(:meth:`repro.campaign.spec.CampaignSpec.build_context` skips step 4 and
-loads a saved pre-characterization instead):
+:func:`build_context` runs the framework's setup stages:
 
 1. elaborate the MPU netlist and place it;
 2. golden-run the benchmark with checkpoints and the MPU port trace;
@@ -10,19 +8,33 @@ loads a saved pre-characterization instead):
    access);
 4. optionally run the full pre-characterization on a synthetic workload.
 
-Build one :class:`EvaluationContext` per engine.  The engine restarts,
-steps and injects faults into ``context.soc`` and ``context.simulator``,
-so two engines sharing a context would corrupt each other's runs; the
-service, for one, builds a fresh context for every job.
+What they produce is a :class:`Design`, and engines only ever read it:
+the dataclass is frozen, the MPU trace is a tuple, the netlist's derived
+tables are filled before it is handed out, and its numpy arrays are
+read-only.  One design therefore serves any number of engines, in one
+thread or in several.  :meth:`repro.campaign.spec.CampaignSpec.
+build_context` keeps the designs it builds in a per-process memo keyed
+by content, so every spec-based build (service jobs, fleet workers, CLI
+verbs, replay) pays setup once per design per process.
+:func:`build_context` itself is uncached: each call runs every stage.
+
+An :class:`EvaluationContext` is one engine's part: a design plus the
+``Soc`` and ``RtlSimulator`` that the engine restarts, steps and
+injects faults into.  Engines therefore never share a context;
+:meth:`EvaluationContext.for_design` gives each its own.  The design's
+fields read through the context under their own names
+(``context.netlist`` is ``context.design.netlist``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.gatesim.timing import TimingModel
+from repro.gatesim.transient import TransientSimulator
 from repro.netlist.graph import Netlist
 from repro.netlist.placement import GridPlacer, Placement
 from repro.precharac.characterization import (
@@ -41,31 +53,77 @@ from repro.soc.mpu import (
     mpu_decision,
 )
 from repro.soc.programs import BenchmarkProgram, reconfig_workload, synthetic_workload
-from repro.soc.soc import Soc
+from repro.soc.soc import MpuTraceEntry, Soc
 
 
-@dataclass
-class EvaluationContext:
-    """One engine's design, golden run and live simulator for one benchmark."""
+@dataclass(frozen=True)
+class Design:
+    """One benchmark on one MPU variant: everything its engines read.
+
+    ``transient_sim`` holds only the netlist's structural tables (see
+    :class:`~repro.gatesim.transient.TransientSimulator`), so engines
+    share it.  The one part that grows after the build is the
+    placement's strike-footprint memo: a pure function of the
+    coordinates, filled on demand and outside the placement's value
+    (``compare=False``).
+    """
 
     memmap: MemoryMap
     benchmark: BenchmarkProgram
-    soc: Soc
-    simulator: RtlSimulator
     netlist: Netlist
     placement: Placement
     timing: TimingModel
     golden: GoldenRun
     n_cycles: int
     target_cycle: int
-    mpu_trace: List
+    mpu_trace: Tuple[MpuTraceEntry, ...]
     responding: Tuple[int, ...]
+    transient_sim: TransientSimulator
     characterization: Optional[SystemCharacterization] = None
     mpu_variant: MpuVariant = BASELINE_VARIANT
 
     def violation_check_cycles(self) -> List[int]:
         """All cycles in the golden run whose MPU check violated."""
         return find_violation_cycles(self.mpu_trace, self.memmap.n_mpu_regions)
+
+
+@dataclass(eq=False)
+class EvaluationContext:
+    """One engine's part: a shared :class:`Design` and a SoC of its own.
+
+    Every field of the design reads through as a read-only property
+    (``context.golden``, ``context.characterization``, ...), so nothing
+    an engine holds can replace a part of the shared design.
+    """
+
+    design: Design
+    soc: Soc
+    simulator: RtlSimulator
+
+    @classmethod
+    def for_design(cls, design: Design) -> "EvaluationContext":
+        """A context with a fresh SoC on ``design``.
+
+        Every engine run restores a golden checkpoint before it steps,
+        so a fresh SoC behaves as the one the golden run left behind.
+        """
+        soc = Soc(design.memmap, design.mpu_variant)
+        soc.load_program(design.benchmark.program.words)
+        soc.reset()
+        return cls(design, soc, RtlSimulator(soc))
+
+    def violation_check_cycles(self) -> List[int]:
+        """All cycles in the golden run whose MPU check violated."""
+        return self.design.violation_check_cycles()
+
+
+for _field in fields(Design):
+    setattr(
+        EvaluationContext,
+        _field.name,
+        property(attrgetter(f"design.{_field.name}")),
+    )
+del _field
 
 
 def find_violation_cycles(mpu_trace: Sequence, n_regions: int) -> List[int]:
@@ -98,9 +156,15 @@ def build_context(
     synthetic_seed: int = 11,
     mpu_variant: MpuVariant = BASELINE_VARIANT,
 ) -> EvaluationContext:
-    """Assemble an :class:`EvaluationContext` for one benchmark."""
+    """Build a fresh :class:`Design` for one benchmark, and a context on it.
+
+    Uncached: every call runs every setup stage.  The context's ``soc``
+    is the one the golden run used.
+    """
     timing = timing or TimingModel()
     netlist = build_mpu_netlist(memmap, mpu_variant)
+    # Filled here, once: the attack techniques read it for every sample.
+    netlist.arrival_times()
     placement = GridPlacer(pitch_um=2.0, jitter=0.25, seed=placement_seed).place(
         netlist
     )
@@ -117,7 +181,7 @@ def build_context(
     soc.record_mpu_trace = True
     golden = simulator.golden_run(n_cycles, checkpoint_interval, collect_traces=False)
     soc.record_mpu_trace = False
-    mpu_trace = list(soc.mpu_trace)
+    mpu_trace = tuple(soc.mpu_trace)
 
     check_cycles = find_violation_cycles(mpu_trace, memmap.n_mpu_regions)
     if benchmark.illegal_accesses and not check_cycles:
@@ -165,11 +229,9 @@ def build_context(
             excitation_trace=exc_trace,
         )
 
-    return EvaluationContext(
+    design = Design(
         memmap=memmap,
         benchmark=benchmark,
-        soc=soc,
-        simulator=simulator,
         netlist=netlist,
         placement=placement,
         timing=timing,
@@ -178,7 +240,8 @@ def build_context(
         target_cycle=target_cycle,
         mpu_trace=mpu_trace,
         responding=responding,
+        transient_sim=TransientSimulator(netlist, timing),
         characterization=characterization,
         mpu_variant=mpu_variant,
     )
-
+    return EvaluationContext(design, soc, simulator)

@@ -47,7 +47,6 @@ from repro.core.analytical import AnalyticalEvaluator
 from repro.core.context import EvaluationContext
 from repro.core.results import CampaignResult, OutcomeCategory, SampleRecord
 from repro.errors import EvaluationError
-from repro.gatesim.transient import TransientSimulator
 from repro.obs.engine_metrics import (
     metrics_from_records,
     observe_baseline_store,
@@ -93,7 +92,8 @@ class CrossLevelEngine:
         self.spec = spec
         self.config = config or EngineConfig()
         self.observe = observe
-        self.transient_sim = TransientSimulator(context.netlist, context.timing)
+        # Structural tables only: shared by every engine on the design.
+        self.transient_sim = context.transient_sim
         # Per-(injection cycle) baseline cache for the batched kernel: the
         # post-step RTL snapshot, the recorded MPU trace entry, and the
         # shared gate-level CycleBaseline.  LRU-bounded; persists across

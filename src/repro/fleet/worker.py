@@ -5,8 +5,9 @@ A :class:`FleetWorker` is a long-lived process (``repro worker --attach
 
 1. asks the coordinator for a lease (``POST /v1/lease``) — backing off
    while the service is idle or unreachable;
-2. builds (and caches, keyed by spec hash) the evaluation runtime for
-   the leased campaign spec;
+2. builds (and caches, keyed by spec hash, for the
+   :data:`RUNTIME_CACHE_SIZE` most recently used specs) the evaluation
+   runtime for the leased campaign spec;
 3. evaluates the chunk under its SeedSequence stream — identical to what
    the in-process scheduler would compute, because
    :func:`~repro.campaign.scheduler.chunk_seed_sequence` is a pure
@@ -56,8 +57,14 @@ from repro.errors import ServiceError
 from repro.obs.logging import LogBuffer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.utils.memo import LruMemo
 
 logger = logging.getLogger(__name__)
+
+#: Runtimes a worker keeps, least recently used evicted first.  Each holds
+#: an engine's SoC and caches; a rebuild after eviction finds its design
+#: in the process's design memo, so it costs a lookup, not a setup.
+RUNTIME_CACHE_SIZE = 4
 
 #: ``engine_factory(spec) -> (engine, sampler)``; tests and benchmarks
 #: inject stubs, production workers build the spec's real runtime.
@@ -181,8 +188,8 @@ class FleetWorker:
         self.chunks_rejected = 0
         self._stop = threading.Event()
         # Runtime cache: workers serve many chunks of the same campaign,
-        # so the (expensive) context build happens once per distinct spec.
-        self._runtimes: Dict[str, Tuple[object, object]] = {}
+        # so each spec's engine is built once while the spec stays recent.
+        self._runtimes = LruMemo(RUNTIME_CACHE_SIZE)
         # Spans measured after their chunk shipped (chunk.post) ride
         # with the next shipment to the same job, or flush out-of-band.
         self._carry: Dict[str, List[dict]] = {}
@@ -394,13 +401,13 @@ class FleetWorker:
             # posted result identity) is unchanged.
             spec = resolve_artifacts(spec, ArtifactStore(self.artifacts_dir))
         digest = spec_hash(spec)
-        cached = self._runtimes.get(digest)
-        cache_hit = cached is not None
-        if cached is None:
-            if self.engine_factory is not None:
-                cached = self.engine_factory(spec)
-            else:
-                cached = spec.build_runtime()
-            self._runtimes[digest] = cached
-        engine, sampler = cached
+        cache_hit = digest in self._runtimes
+        engine, sampler = self._runtimes.get(
+            digest,
+            lambda: (
+                self.engine_factory(spec)
+                if self.engine_factory is not None
+                else spec.build_runtime()
+            ),
+        )
         return engine, sampler, spec, cache_hit

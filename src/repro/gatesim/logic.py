@@ -129,7 +129,7 @@ class LogicEvaluator:
             [_COMB_KINDS.index(nodes[g].kind) * 8 for g in gates], dtype=np.intp
         )
         splits = np.flatnonzero(np.diff([levels[g] for g in gates])) + 1
-        self._schedule = [
+        self._schedule = tuple(
             (g, f.copy(), b)
             for g, f, b in zip(
                 np.split(self._gates, splits),
@@ -137,7 +137,7 @@ class LogicEvaluator:
                 np.split(self._bases, splits),
             )
             if len(g)
-        ]
+        )
 
         self._template = np.zeros(len(nodes), dtype=np.int8)
         for node in nodes:
@@ -162,6 +162,15 @@ class LogicEvaluator:
         ])
         self._input_fields = self._source_layout.fields[: len(inputs)]
         self._state_fields = self._source_layout.fields[len(inputs):]
+        # Read-only: evaluation only reads them, and one evaluator serves
+        # every engine on a design.
+        layouts = (self._source_layout, self._next_layout, self._output_layout)
+        for array in (
+            self._gates, self._fanins, self._bases, self._template,
+            *(array for step in self._schedule for array in step),
+            *(array for layout in layouts for array in (layout.positions, layout.nids)),
+        ):
+            array.flags.writeable = False
 
     # ------------------------------------------------------------------
     # word-level packing helpers

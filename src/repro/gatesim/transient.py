@@ -113,7 +113,12 @@ class CycleBaseline:
 
 
 class TransientSimulator:
-    """Propagates transients through one clock cycle of a netlist."""
+    """Propagates transients through one clock cycle of a netlist.
+
+    It holds the netlist's structural tables only, built here once:
+    simulating a cycle never writes them, so every engine on one design
+    shares one simulator, across threads too.
+    """
 
     def __init__(
         self,
@@ -130,28 +135,28 @@ class TransientSimulator:
         self.evaluator = LogicEvaluator(netlist)
         self.max_pulses_per_node = max_pulses_per_node
         nodes = netlist.nodes
-        self._combinational = [False] * len(nodes)
+        combinational = [False] * len(nodes)
         for nid in netlist.topo_order():  # exactly the combinational nodes
-            self._combinational[nid] = True
-        self._delay = [self.timing.gate_delay(n.kind) for n in nodes]
+            combinational[nid] = True
+        self._combinational = tuple(combinational)
+        self._delay = tuple(self.timing.gate_delay(n.kind) for n in nodes)
         self._arrival = self._compute_arrival_times()
-        self._dffs = [n for n in nodes if n.is_dff and n.fanins]
-        self._d_pins = [node.fanins[0] for node in self._dffs]
+        self._dffs = tuple(n for n in nodes if n.is_dff and n.fanins)
+        self._d_pins = tuple(node.fanins[0] for node in self._dffs)
         # D-pin node -> indices into ``_dffs`` of the flops it feeds.
         self._dffs_at: Dict[int, List[int]] = {}
         for di, d_pin in enumerate(self._d_pins):
             self._dffs_at.setdefault(d_pin, []).append(di)
-        # Pin-bit table: node -> ``consumer << 3 | bits`` per gate it
-        # drives, filled on the node's first visit (see _fanout_pins).
-        self._pin_bits: List[Optional[Tuple[int, ...]]] = [None] * len(nodes)
+        # Pin-bit table, one entry per node (see _fanout_pins).
+        self._pin_bits = tuple(self._fanout_pins(nid) for nid in range(len(nodes)))
 
-    def _compute_arrival_times(self) -> List[float]:
+    def _compute_arrival_times(self) -> Tuple[float, ...]:
         """Static settle time of each node output within a cycle."""
         arrival = [0.0] * len(self.netlist)
         for nid in self.netlist.topo_order():
             fanins = self.netlist.nodes[nid].fanins
             arrival[nid] = self._delay[nid] + max(arrival[f] for f in fanins)
-        return arrival
+        return tuple(arrival)
 
     # ------------------------------------------------------------------
     # main entry point
@@ -285,7 +290,7 @@ class TransientSimulator:
         return pulses
 
     def _fanout_pins(self, nid: int) -> Tuple[int, ...]:
-        """Pin-bit table entry of ``nid``, built on its first visit.
+        """Pin-bit table entry of ``nid``.
 
         One ``consumer << 3 | bits`` per gate ``nid`` drives, where bit
         ``pin`` of ``bits`` is set for every pin of that gate ``nid``
@@ -303,9 +308,7 @@ class TransientSimulator:
                 if f == nid:
                     bits |= 1 << pin
             entries.append(c << 3 | bits)
-        # A tuple: the table lives as long as the simulator.
-        self._pin_bits[nid] = packed = tuple(entries)
-        return packed
+        return tuple(entries)
 
     def _sweep_cone(self, baseline: CycleBaseline, pulses: PulseMap) -> None:
         """Exact propagation of one sample's pulses through its fanout cone.
@@ -362,10 +365,7 @@ class TransientSimulator:
                         pulses[nid] = _merge_pulses(existing + merged)[:cap]
                 elif nid not in pulses:
                     continue  # every arriving pulse was masked
-            entries = table[nid]
-            if entries is None:
-                entries = self._fanout_pins(nid)
-            for entry in entries:
+            for entry in table[nid]:
                 c = entry >> 3
                 if c not in queued and mask[c] & entry:
                     queued.add(c)

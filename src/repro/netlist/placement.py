@@ -54,6 +54,11 @@ class Placement:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # Read-only: one placement serves every engine on a design.
+        self.x.flags.writeable = False
+        self.y.flags.writeable = False
+
     def position(self, nid: int) -> Tuple[float, float]:
         return float(self.x[nid]), float(self.y[nid])
 
@@ -95,7 +100,10 @@ class Placement:
         (centre, radius).
 
         A campaign strikes universe centres at the radius distribution's
-        radii, so the memo is bounded by universe × radii.
+        radii, so the memo is bounded by universe × radii.  Every engine
+        on a design shares it: an entry is a pure function of its key
+        with read-only arrays, so two threads that fill one key at once
+        store equal values.
         """
         key = (centre, radius_um)
         found = self._footprints.get(key)
@@ -105,7 +113,7 @@ class Placement:
             xs, ys = self.x[nodes].tolist(), self.y[nodes].tolist()
             kinds = [self.netlist.nodes[nid].kind for nid in nodes.tolist()]
             dff = GateKind.DFF
-            found = self._footprints[key] = Footprint(
+            found = Footprint(
                 nodes=nodes,
                 distances=np.array(
                     [math.hypot(cx - x, cy - y) for x, y in zip(xs, ys)]
@@ -113,6 +121,9 @@ class Placement:
                 dff=np.array([kind is dff for kind in kinds], dtype=bool),
                 comb=np.array([kind not in _NON_GATE for kind in kinds], dtype=bool),
             )
+            for array in found:
+                array.flags.writeable = False
+            self._footprints[key] = found
         return found
 
     def distance(self, a: int, b: int) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.errors import CharacterizationError
 from repro.netlist.cones import UnrolledCones
@@ -100,10 +100,17 @@ def save_characterization(
 def load_characterization(
     path: Union[str, pathlib.Path],
     netlist: Netlist,
+    data: Optional[bytes] = None,
 ) -> SystemCharacterization:
-    """Deserialize; ``netlist`` must match the stored fingerprint."""
+    """Deserialize; ``netlist`` must match the stored fingerprint.
+
+    ``data`` is the file's content when the caller has read it already
+    (the design memo parses the bytes it keyed on).
+    """
     try:
-        payload = json.loads(pathlib.Path(path).read_text())
+        payload = json.loads(
+            data if data is not None else pathlib.Path(path).read_text()
+        )
     except (OSError, json.JSONDecodeError) as exc:
         raise CharacterizationError(f"cannot load characterization: {exc}") from exc
     if payload.get("version") != FORMAT_VERSION:

@@ -26,11 +26,14 @@ from repro.sampling.estimator import SsfEstimator
 SAMPLERS = ("random", "cone", "importance")
 
 
-def make_sampler(name: str, attack, context) -> Sampler:
+def make_sampler(name: str, attack, context, tables=None) -> Sampler:
     """The ``name`` sampler over ``attack``.
 
     ``cone`` and ``importance`` read the context's characterization;
-    ``importance`` also its placement.
+    ``importance`` also its placement, unless ``tables`` hands it the
+    :class:`~repro.sampling.importance.ImportanceTables` an earlier
+    ``importance`` sampler over an equal attack spec on the same design
+    built.
     """
     if name == "random":
         return RandomSampler(attack)
@@ -38,7 +41,10 @@ def make_sampler(name: str, attack, context) -> Sampler:
         return FaninConeSampler(attack, context.characterization)
     if name == "importance":
         return ImportanceSampler(
-            attack, context.characterization, placement=context.placement
+            attack,
+            context.characterization,
+            placement=context.placement,
+            tables=tables,
         )
     raise SamplingError(f"unknown sampler {name!r}")
 

@@ -30,7 +30,7 @@ stay exact either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,11 +124,28 @@ class _FrameTable:
     cdf: List[float]        # inverse CDF of probs, for draw_index
 
 
+@dataclass(frozen=True)
+class ImportanceTables:
+    """``g_T`` and every ``g_{P|T}`` of one sampler, arrays read-only.
+
+    A pure function of the sampler's arguments, so samplers over equal
+    attack specs on one design can share one set (see
+    :meth:`repro.campaign.spec.CampaignSpec.build_runtime`).
+    """
+
+    frames: Tuple[int, ...]
+    by_frame: Dict[int, _FrameTable]
+    frame_probs: np.ndarray
+    frame_cdf: List[float]
+
+
 class ImportanceSampler(Sampler):
     """Pre-characterization-driven importance sampling.
 
     ``g_T`` and every ``g_{P|T}`` are fixed per campaign, so the
-    constructor builds their tables once and keeps only those.
+    constructor builds their tables once and keeps only those
+    (:attr:`tables`).  ``tables`` hands it a set built earlier from the
+    same arguments instead.
     """
 
     def __init__(
@@ -142,6 +159,7 @@ class ImportanceSampler(Sampler):
         smear_radius_um: Optional[float] = None,
         persistence_extension: bool = True,
         defensive_epsilon: float = 0.15,
+        tables: Optional[ImportanceTables] = None,
     ):
         super().__init__(spec)
         if alpha < 0 or beta < 0:
@@ -153,10 +171,24 @@ class ImportanceSampler(Sampler):
         self.alpha = alpha
         self.beta = beta
         self.hard_lifetime_gate = hard_lifetime_gate
-        if placement is not None and smear_radius_um is None:
-            # The direct-upset reach of a typical spot, not the full
-            # radius: mass should follow cells the strike can flip.
-            smear_radius_um = 0.5 * float(np.mean(spec.radius.radii_um))
+        if tables is None:
+            if placement is not None and smear_radius_um is None:
+                # The direct-upset reach of a typical spot, not the full
+                # radius: mass should follow cells the strike can flip.
+                smear_radius_um = 0.5 * float(np.mean(spec.radius.radii_um))
+            tables = self._build_tables(
+                placement, smear_radius_um, persistence_extension
+            )
+        self.tables = tables
+        self._frames = list(tables.frames)
+        self._tables = tables.by_frame
+        self._frame_probs = tables.frame_probs
+        self._frame_cdf = tables.frame_cdf
+
+    def _build_tables(
+        self, placement, smear_radius_um, persistence_extension
+    ) -> ImportanceTables:
+        spec, characterization = self.spec, self.characterization
         universe = spec.spatial.universe
         frames = list(spec.temporal.support())
         corr = _correlation_table(
@@ -172,13 +204,12 @@ class ImportanceSampler(Sampler):
             [characterization.L(nid) for nid in universe], dtype=float
         )
 
-        self._frames: List[int] = []
-        self._tables: Dict[int, _FrameTable] = {}
-        omegas: List[float] = []
+        kept: List[int] = []
+        by_frame: Dict[int, _FrameTable] = {}
         for i, t in enumerate(frames):
             cone = characterization.omega_nodes(t)
             cols = np.flatnonzero([nid in cone for nid in universe])
-            if hard_lifetime_gate and t > 0:
+            if self.hard_lifetime_gate and t > 0:
                 cols = cols[lifetimes[cols] >= self.beta * t]
             if not cols.size:
                 continue
@@ -196,24 +227,30 @@ class ImportanceSampler(Sampler):
             # check without biasing it).
             eps = self.defensive_epsilon
             probs = (1.0 - eps) * (terms / omega) + eps / cols.size
-            self._frames.append(t)
-            self._tables[t] = _FrameTable(
+            kept.append(t)
+            by_frame[t] = _FrameTable(
                 nodes=ids[cols],
                 terms=terms,
                 probs=probs,
                 omega=omega,
                 cdf=inverse_cdf(probs, f"g_P|T at t={t}"),
             )
-            omegas.append(omega)
-        if not self._frames:
+        if not kept:
             raise SamplingError("importance sampler has empty support")
-        self._omega_total = float(sum(omegas))
+        omega_total = float(sum(by_frame[t].omega for t in kept))
         eps = self.defensive_epsilon
-        raw = np.array(
-            [self._tables[t].omega / self._omega_total for t in self._frames]
+        raw = np.array([by_frame[t].omega / omega_total for t in kept])
+        frame_probs = (1.0 - eps) * raw + eps / len(kept)
+        for table in by_frame.values():
+            for array in (table.nodes, table.terms, table.probs):
+                array.flags.writeable = False
+        frame_probs.flags.writeable = False
+        return ImportanceTables(
+            frames=tuple(kept),
+            by_frame=by_frame,
+            frame_probs=frame_probs,
+            frame_cdf=inverse_cdf(frame_probs, "g_T"),
         )
-        self._frame_probs = (1.0 - eps) * raw + eps / len(self._frames)
-        self._frame_cdf = inverse_cdf(self._frame_probs, "g_T")
 
     # ------------------------------------------------------------------
     def g_T(self, t: int) -> float:  # noqa: N802 - paper notation

@@ -4,6 +4,10 @@ The expensive artifacts (elaborated MPU netlist, evaluation context with a
 reduced pre-characterization) are session-scoped: they are deterministic,
 read-only for most tests, and building them once keeps the suite fast.
 Tests that mutate SoC state build their own instances.
+
+The process-wide design memo behind ``CampaignSpec.build_context`` is
+cleared around every test (:func:`fresh_design_memo`), so each test's
+spec-based builds start from no memoized design, as in a new process.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.campaign.spec import clear_design_memo
 from repro.core.context import build_context
 from repro.gatesim.logic import LogicEvaluator
 from repro.netlist.placement import GridPlacer
@@ -37,6 +42,14 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture(autouse=True)
+def fresh_design_memo():
+    """No memoized design leaks into or out of a test."""
+    clear_design_memo()
+    yield
+    clear_design_memo()
 
 
 @pytest.fixture(scope="session")
