@@ -9,13 +9,14 @@
 4. optionally run the full pre-characterization on a synthetic workload.
 
 What they produce is a :class:`Design`, and engines only ever read it:
-the dataclass is frozen, the MPU trace is a tuple, the netlist's derived
-tables are filled before it is handed out, and its numpy arrays are
-read-only.  One design therefore serves any number of engines, in one
-thread or in several.  :meth:`repro.campaign.spec.CampaignSpec.
-build_context` keeps the designs it builds in a per-process memo keyed
-by content, so every spec-based build (service jobs, fleet workers, CLI
-verbs, replay) pays setup once per design per process.
+the dataclass is frozen, the MPU trace and the MPU lockstep tables are
+tuples, the netlist's derived tables are filled before it is handed
+out, and its numpy arrays are read-only.  One design therefore serves
+any number of engines, in one thread or in several.
+:meth:`repro.campaign.spec.CampaignSpec.build_context` keeps the
+designs it builds in a per-process memo keyed by content, so every
+spec-based build (service jobs, fleet workers, CLI verbs, replay) pays
+setup once per design per process.
 :func:`build_context` itself is uncached: each call runs every stage.
 
 An :class:`EvaluationContext` is one engine's part: a design plus the
@@ -47,6 +48,7 @@ from repro.soc.memmap import MemoryMap, DEFAULT_MEMORY_MAP
 from repro.soc.mpu import (
     BASELINE_VARIANT,
     MpuConfigView,
+    MpuLockstep,
     MpuVariant,
     build_mpu_netlist,
     default_responding_signals,
@@ -62,7 +64,9 @@ class Design:
 
     ``transient_sim`` holds only the netlist's structural tables (see
     :class:`~repro.gatesim.transient.TransientSimulator`), so engines
-    share it.  The one part that grows after the build is the
+    share it, and ``mpu_lockstep`` only the golden run's MPU tables (see
+    :class:`~repro.soc.mpu.MpuLockstep`): each engine steps an MPU of
+    its own on them.  The one part that grows after the build is the
     placement's strike-footprint memo: a pure function of the
     coordinates, filled on demand and outside the placement's value
     (``compare=False``).
@@ -77,6 +81,7 @@ class Design:
     n_cycles: int
     target_cycle: int
     mpu_trace: Tuple[MpuTraceEntry, ...]
+    mpu_lockstep: MpuLockstep
     responding: Tuple[int, ...]
     transient_sim: TransientSimulator
     characterization: Optional[SystemCharacterization] = None
@@ -239,6 +244,9 @@ def build_context(
         n_cycles=n_cycles,
         target_cycle=target_cycle,
         mpu_trace=mpu_trace,
+        mpu_lockstep=MpuLockstep.from_trace(
+            mpu_trace, golden.final.registers, memmap, mpu_variant
+        ),
         responding=responding,
         transient_sim=TransientSimulator(netlist, timing),
         characterization=characterization,

@@ -10,8 +10,13 @@ Per sample:
    voltage transients / direct flops upsets, propagate, and collect the
    register bits latched wrong;
 4. if nothing latched — masked, done.  If only memory-type registers are
-   hit — analytical evaluation.  Otherwise write the bit errors back into
-   the RTL state and resume simulation to the end of the benchmark;
+   hit — analytical evaluation.  Otherwise write the bit errors back and
+   resume to the end of the benchmark, comparing at the MPU's boundary
+   first: the engine's own MPU steps alone on golden's inputs
+   (:class:`~repro.soc.mpu.MpuLockstep`), and the whole SoC resumes only
+   from the first cycle whose MPU outputs differ from golden's.  A run
+   whose outputs never differ ends in golden's final state with the
+   faulty MPU registers;
 5. the success indicator compares the final state against the golden
    outcome (malicious operation committed *and* undetected).
 
@@ -59,6 +64,7 @@ from repro.obs.tracing import NULL_CLOCK, StageClock
 from repro.rtl.checkpoint import Checkpoint
 from repro.sampling.base import Sampler
 from repro.sampling.estimator import SsfEstimator
+from repro.soc.mpu import MpuBehavioral
 from repro.utils.rng import SeedLike, as_generator, sample_seed_sequence
 
 
@@ -75,6 +81,14 @@ class EngineConfig:
     # flipped bits), so batches with few distinct flip patterns pay one
     # RTL resume / analytical call per pattern instead of per sample.
     outcome_cache_size: int = 4096
+
+
+def _masks(flipped: FrozenSet[Tuple[str, int]]) -> Dict[str, int]:
+    """Per-register XOR masks of a set of (register, bit) flips."""
+    masks: Dict[str, int] = {}
+    for register, bit in flipped:
+        masks[register] = masks.get(register, 0) | (1 << bit)
+    return masks
 
 
 class CrossLevelEngine:
@@ -112,6 +126,8 @@ class CrossLevelEngine:
         # Memoized post-divergence outcomes, keyed on
         # (restored cycle, flipped bits, impact_cycles); LRU-bounded.
         self._outcome_cache: "OrderedDict[tuple, int]" = OrderedDict()
+        # The faulty MPU that resumes step beside golden (_start_lockstep).
+        self._mpu = MpuBehavioral(context.memmap, context.mpu_variant)
         self._analytical: Optional[AnalyticalEvaluator] = None
         if context.characterization is not None:
             self._analytical = AnalyticalEvaluator(
@@ -373,10 +389,50 @@ class CrossLevelEngine:
 
     def _write_back(self, flipped: FrozenSet[Tuple[str, int]]) -> None:
         """Inject latched-wrong bits into the live RTL state."""
-        masks: Dict[str, int] = {}
-        for register, bit in flipped:
-            masks[register] = masks.get(register, 0) | (1 << bit)
-        self.context.simulator.inject_bit_errors(masks)
+        self.context.simulator.inject_bit_errors(_masks(flipped))
+
+    def _write_back_mpu(self, flipped: FrozenSet[Tuple[str, int]]) -> None:
+        """Inject latched-wrong bits into the lockstep MPU's registers."""
+        regs = self._mpu.regs
+        self._mpu.set_registers(
+            {reg: regs[reg] ^ mask for reg, mask in _masks(flipped).items()}
+        )
+
+    def _start_lockstep(
+        self, cycle: int, flipped: FrozenSet[Tuple[str, int]]
+    ) -> None:
+        """Start the lockstep MPU at golden's registers of ``cycle``, with
+        ``flipped`` written back."""
+        lockstep = self.context.mpu_lockstep
+        self._mpu.regs = dict(zip(lockstep.names, lockstep.states[cycle]))
+        self._write_back_mpu(flipped)
+
+    def _escape(self, cycle: int) -> None:
+        """Put the SoC at golden's state of ``cycle`` with the lockstep
+        MPU's registers: the MPU's outputs differ from golden's there."""
+        context = self.context
+        context.simulator.restart_from(context.golden, cycle)
+        context.soc.set_registers(self._mpu.regs)
+
+    def _resume_lockstep(self, cycle: int) -> None:
+        """Finish the faulty run from the lockstep MPU at ``cycle``.
+
+        The MPU steps alone on golden's inputs (see
+        :class:`~repro.soc.mpu.MpuLockstep`).  On an escape the whole SoC
+        resumes from the escape cycle; without one the rest of the SoC
+        ends as golden does, so the SoC takes golden's final state with
+        the lockstep MPU's registers.
+        """
+        context = self.context
+        n_cycles = context.n_cycles
+        escape = context.mpu_lockstep.run(self._mpu, cycle, n_cycles)
+        if escape < n_cycles:
+            self._escape(escape)
+            context.simulator.run_to(n_cycles)
+        else:
+            context.golden.final.restore(context.soc)
+            context.simulator.cycle = n_cycles
+            context.soc.set_registers(self._mpu.regs)
 
     def _finish_diverged(
         self,
@@ -394,41 +450,64 @@ class CrossLevelEngine:
 
         ``remaining`` holds the sample's pre-drawn injections for impact
         cycles after the one that flipped.  With none left, the verdict
-        is a pure function of (restored cycle, flipped bits) — the RTL
-        resume starts from a canonical checkpoint and the analytical
-        evaluator is deterministic — so it is memoized across the batch
-        (and the engine's lifetime) in ``_outcome_cache``.  With cycles
-        left, the sample runs them one by one: per-cycle RTL step, gate
-        simulation, and writeback on a now per-sample faulty trajectory
-        (including flips cancelling back to a masked outcome via the
-        symmetric difference).
+        is a pure function of (restored cycle, flipped bits) — the
+        resume starts from golden's state at that cycle and the
+        analytical evaluator is deterministic — so it is memoized across
+        the batch (and the engine's lifetime) in ``_outcome_cache``.
+        With cycles left, the sample runs them one by one: per-cycle
+        step, gate simulation, and writeback on a now per-sample faulty
+        trajectory (including flips cancelling back to a masked outcome
+        via the symmetric difference).
+
+        Flips land in the MPU, so every resume starts in MPU lockstep
+        (:meth:`_resume_lockstep`): while the MPU's outputs equal
+        golden's, the gate level reads golden's inputs and the lockstep
+        MPU's registers, and write-backs go into those registers.  The
+        whole SoC takes over from the first cycle whose outputs differ.
         """
         context = self.context
         simulator = context.simulator
         soc = context.soc
         if remaining:
-            post_step.restore(soc)
-            simulator.cycle = post_step.cycle
-            self._write_back(flipped)
+            lockstep = context.mpu_lockstep
+            cycle = post_step.cycle
+            self._start_lockstep(cycle, flipped)
+            escaped = False
             clock.lap("writeback")
             for injection in remaining:
-                if simulator.cycle >= context.n_cycles:
+                if cycle >= context.n_cycles:
                     break
-                soc.record_mpu_trace = True
-                soc.mpu_trace = []
-                simulator.step()
-                soc.record_mpu_trace = False
-                entry = soc.mpu_trace[-1]
+                if not escaped:
+                    # The gate level reads the MPU's registers at the
+                    # start of the cycle; the step replaces the dict.
+                    state = self._mpu.regs
+                    escaped = lockstep.run(self._mpu, cycle, cycle + 1) == cycle
+                    if escaped:
+                        self._escape(cycle)
+                if escaped:
+                    soc.record_mpu_trace = True
+                    soc.mpu_trace = []
+                    simulator.step()
+                    soc.record_mpu_trace = False
+                    entry = soc.mpu_trace[-1]
+                    inputs, state = entry.inputs, entry.state
+                else:
+                    inputs = context.mpu_trace[cycle].inputs
+                cycle += 1
                 clock.lap("rtl_step")
                 result = self.transient_sim.simulate_cycle(
-                    entry.inputs, entry.state, injection
+                    inputs, state, injection
                 )
                 n_injected += result.n_pulses_injected
                 n_latched += result.n_pulses_latched
                 clock.lap("transient")
                 if result.flipped_bits:
-                    self._write_back(frozenset(result.flipped_bits))
-                    flipped = flipped ^ frozenset(result.flipped_bits)
+                    flips = frozenset(result.flipped_bits)
+                    if escaped:
+                        self._write_back(flips)
+                    else:
+                        self._write_back_mpu(flips)
+                    flipped = flipped ^ flips
                     clock.lap("writeback")
             if not flipped:
                 return SampleRecord(
@@ -449,7 +528,10 @@ class CrossLevelEngine:
             )
             # impact_cycles > 1 here, so the analytical gate is closed
             # (it requires impact_cycles == 1); resume in place.
-            simulator.run_to(context.n_cycles)
+            if escaped:
+                simulator.run_to(context.n_cycles)
+            else:
+                self._resume_lockstep(cycle)
             clock.lap("rtl_resume")
             e = 1 if context.benchmark.attack_succeeded(soc) else 0
             clock.lap("compare")
@@ -483,13 +565,11 @@ class CrossLevelEngine:
                 e = self._analytical.evaluate(flipped, injection_cycle)
                 clock.lap("analytical")
             else:
-                # Resume from the shared post-step snapshot: equivalent to
-                # a fresh restart+step (the snapshot is complete).
-                post_step.restore(soc)
-                simulator.cycle = post_step.cycle
-                self._write_back(flipped)
+                # The MPU state after the step is golden's, as is the
+                # rest of the SoC's, until the lockstep escapes.
+                self._start_lockstep(post_step.cycle, flipped)
                 clock.lap("writeback")
-                simulator.run_to(context.n_cycles)
+                self._resume_lockstep(post_step.cycle)
                 clock.lap("rtl_resume")
                 e = 1 if context.benchmark.attack_succeeded(soc) else 0
                 clock.lap("compare")

@@ -12,6 +12,12 @@ state diff against the golden run is tracked forward:
 Memory-type registers (long lifetime, ~0 contamination) get the analytical
 evaluation path; computation-type registers stay on Monte Carlo but with a
 small effective ``T`` range (paper, Observation 3).
+
+A trial that flips an MPU bit follows the paper's cross-level rule
+(Fig. 5) at the MPU's boundary: the faulty MPU steps alone beside the
+golden run (:class:`~repro.soc.mpu.MpuLockstep`), fast-forwarding over
+golden's idle stretches, and the whole SoC steps only from the first
+cycle whose MPU outputs differ from golden's.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from repro.errors import CharacterizationError
 from repro.rtl.simulator import RtlSimulator
-from repro.soc.mpu import MpuBehavioral, MpuInputs
+from repro.soc.mpu import MpuBehavioral, MpuLockstep
 from repro.soc.soc import Soc
 from repro.utils.rng import SeedLike, as_generator
 
@@ -94,27 +100,31 @@ def run_lifetime_campaign(
     boot configuration is done and the horizon fits).
 
     One golden run records the checkpoints, every register value per
-    cycle and, on an :class:`~repro.soc.soc.Soc`, the MPU's inputs and
-    outputs per cycle.  A trial that flips an MPU bit then runs in
-    lockstep: a standalone :class:`~repro.soc.mpu.MpuBehavioral` steps
-    on the golden inputs, and only the MPU registers are diffed.  This is
-    exact: the MPU reaches the core, bus and DMA only through its
-    outputs, so while those equal golden's every other register and the
-    RAM stay golden, and so do the MPU's inputs.  On the first cycle whose
-    outputs differ the trial escapes to the whole SoC: restart there from
-    the golden checkpoint, write the faulty MPU registers back and diff
-    every register from then on.  Any other trial starts escaped.
+    cycle and, on an :class:`~repro.soc.soc.Soc`, the MPU trace.  A trial
+    that flips an MPU bit then runs in lockstep
+    (:class:`~repro.soc.mpu.MpuLockstep`): a standalone
+    :class:`~repro.soc.mpu.MpuBehavioral` steps on the golden inputs, and
+    only the MPU registers are diffed.  This is exact: the MPU reaches
+    the core, bus and DMA only through its outputs, so while those equal
+    golden's every other register and the RAM stay golden, and so do the
+    MPU's inputs.  Where golden idles, a step that leaves the faulty
+    registers as they were fast-forwards to the end of the idle stretch:
+    every skipped step would repeat it, so the death check and the
+    ``touched`` set are the same across the skip.  On the first cycle
+    whose outputs differ the trial escapes to the whole SoC: restart
+    there from the golden checkpoint, write the faulty MPU registers back
+    and diff every register from then on.  Any other trial starts
+    escaped.
     """
     if n_cycles <= horizon + 10:
         raise CharacterizationError("run too short for the requested horizon")
     sim = RtlSimulator(device)
-    lockstep = isinstance(device, Soc)
+    is_soc = isinstance(device, Soc)
     mpu_names: Tuple[str, ...] = ()
-    if lockstep:
+    if is_soc:
         mpu_names = tuple(device.mpu_register_names())
-        sim.add_probe("mpu_outputs", lambda soc, _cycle: soc.mpu.outputs())
         recording = device.record_mpu_trace
-        device.record_mpu_trace = True  # the golden MPU inputs per cycle
+        device.record_mpu_trace = True
     specs = device.register_specs()
     mpu_widths = {name: specs[name].width for name in mpu_names}
     # MPU registers first, so an MPU state is a prefix of a device state.
@@ -124,20 +134,16 @@ def run_lifetime_campaign(
     golden = sim.golden_run(n_cycles, checkpoint_interval)
     # Golden register values per cycle, as tuples in ``names`` order.
     history = golden.traces["state"] + [state_of(golden.final.registers)]
-    if lockstep:
+    if is_soc:
         device.record_mpu_trace = recording
-        stimuli: Dict[tuple, MpuInputs] = {}
-        golden_inputs = [
-            stimuli.setdefault(
-                tuple(entry.inputs.values()), MpuInputs(**entry.inputs)
-            )
-            for entry in device.mpu_trace
-        ]
+        lockstep = MpuLockstep.from_trace(
+            device.mpu_trace,
+            golden.final.registers,
+            device.memmap,
+            device.mpu_variant,
+        )
         device.mpu_trace = []
-        golden_outputs = golden.traces["mpu_outputs"]
         faulty = MpuBehavioral(device.memmap, device.mpu_variant)
-        mpu_state_of = _values_getter(mpu_names)
-    n_mpu = len(mpu_names)
 
     rng = as_generator(seed)
     lo, hi = injection_window or (n_cycles // 4, max(n_cycles // 4 + 1, n_cycles - horizon - 5))
@@ -152,40 +158,44 @@ def run_lifetime_campaign(
         masked_any = False
         for _trial in range(n_trials):
             inject_cycle = int(rng.integers(lo, hi))
-            escaped = not (in_mpu and 0 <= inject_cycle <= n_cycles)
-            if escaped:
+            stop = min(inject_cycle + horizon, n_cycles)
+            touched: set = set()
+            died_at: Optional[int] = None
+            cycle = inject_cycle
+            if in_mpu and 0 <= inject_cycle <= n_cycles:
+                faulty.regs = dict(zip(mpu_names, lockstep.states[cycle]))
+                faulty.regs[register] ^= 1 << bit
+                for cycle, current in lockstep.steps(faulty, cycle, stop):
+                    reference = lockstep.states[cycle]
+                    if current == reference:
+                        died_at = cycle
+                        break
+                    touched.update(compress(
+                        mpu_names, map(operator.ne, current, reference)
+                    ))
+                if died_at is None and cycle < stop:  # escaped
+                    sim.restart_from(golden, cycle)
+                    device.set_registers(faulty.regs)
+            else:
                 sim.restart_from(golden, inject_cycle)
                 device.flip_register_bit(register, bit)
-            else:
-                faulty.regs = dict(zip(mpu_names, history[inject_cycle]))
-                faulty.regs[register] ^= 1 << bit
-            touched: set = set()
-            lifetime = horizon
-            for offset in range(1, horizon + 1):
-                cycle = inject_cycle + offset
-                if cycle > n_cycles:
-                    break
-                if not escaped and faulty.outputs() != golden_outputs[cycle - 1]:
-                    sim.restart_from(golden, cycle - 1)
-                    device.set_registers(faulty.regs)
-                    escaped = True
-                if escaped:
-                    sim.step()
-                    current = state_of(device.get_registers())
-                    reference = history[cycle]
-                else:
-                    faulty.step(golden_inputs[cycle - 1])
-                    current = mpu_state_of(faulty.regs)
-                    reference = history[cycle][:n_mpu]
+            while died_at is None and cycle < stop:
+                sim.step()
+                cycle += 1
+                current = state_of(device.get_registers())
+                reference = history[cycle]
                 if current == reference:
-                    lifetime = offset
-                    masked_any = True
+                    died_at = cycle
                     break
                 touched.update(
                     compress(names, map(operator.ne, current, reference))
                 )
             touched.discard(register)
-            lifetimes.append(float(lifetime))
+            if died_at is None:
+                lifetimes.append(float(horizon))
+            else:
+                lifetimes.append(float(died_at - inject_cycle))
+                masked_any = True
             contaminations.append(float(len(touched)))
         campaign.results[(register, bit)] = RegisterCharacter(
             register=register,

@@ -6,8 +6,9 @@ HTTP or transport failure surfaces as
 :class:`~repro.errors.ServiceError` carrying the status code, so
 callers never touch ``urllib`` exceptions directly.
 
-Transport failures (connection refused, timeouts — *not* HTTP error
-statuses) on **GET** requests are retried with exponential backoff:
+Transport failures (connection refused, timeouts, a response cut off
+or not parsable — *not* HTTP error statuses) on **GET** requests are
+retried with exponential backoff:
 GETs here are idempotent, and a service restarting under a poll loop
 shouldn't fail its clients.  Non-idempotent verbs never retry at this
 layer — submitting twice could enqueue twice — callers that can retry
@@ -16,6 +17,7 @@ safely (the fleet worker's lease loop) do it themselves.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -115,8 +117,21 @@ class ServiceClient:
             raise ServiceError(
                 f"cannot reach service at {self.base_url}: {exc}"
             ) from exc
-        text = raw.decode("utf-8")
-        return text if as_text else json.loads(text)
+        except http.client.HTTPException as exc:
+            # A response cut short (IncompleteRead) or garbled: the
+            # service may be restarting, so this is a transport failure.
+            raise ServiceError(
+                f"{method} {path}: broken response from {self.base_url}: "
+                f"{exc!r}"
+            ) from exc
+        try:
+            text = raw.decode("utf-8")
+            return text if as_text else json.loads(text)
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise ServiceError(
+                f"{method} {path}: unparsable response from "
+                f"{self.base_url}: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # API verbs

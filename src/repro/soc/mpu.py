@@ -43,7 +43,9 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import SimulationError
 from repro.hdl import Module, Wire
@@ -470,6 +472,125 @@ class MpuBehavioral:
             if name not in self._specs:
                 raise SimulationError(f"unknown MPU register {name!r}")
             self.regs[name] = value & self._specs[name].mask
+
+
+@dataclass(frozen=True)
+class MpuLockstep:
+    """Golden MPU tables for stepping a faulty MPU beside the golden run.
+
+    The MPU reaches the core, bus and DMA only through its outputs.  So
+    while a faulty MPU's outputs equal golden's, every other register
+    and the RAM stay golden, and so do the MPU's inputs: the faulty MPU
+    can step alone on golden's inputs.  :meth:`steps` does that until
+    the first cycle whose outputs differ, the *escape* cycle, from which
+    the caller runs the whole SoC.
+
+    Fast-forward: a *stable run* is a maximal stretch of cycles over
+    which golden's input is one object and golden's MPU registers do
+    not change.  When a step inside one leaves the faulty registers
+    unchanged too, every later step of the run repeats it: the same
+    registers on the same input, against the same golden outputs and
+    registers.  :meth:`steps` then jumps to the run's end.  It reads no
+    MPU semantics, only object identity and equal register tuples.
+
+    The tables are tuples, so one instance serves any number of callers
+    and threads; each caller steps its own :class:`MpuBehavioral`.
+    """
+
+    #: Register names: the order of every register tuple.
+    names: Tuple[str, ...]
+    #: Golden inputs of each cycle; equal inputs are one object.
+    inputs: Tuple[MpuInputs, ...]
+    #: Golden registers at the start of each cycle, and after the last;
+    #: equal ones are one object.
+    states: Tuple[tuple, ...]
+    #: Golden outputs at the start of each cycle, and after the last.
+    outputs: Tuple[MpuOutputs, ...]
+    #: Per cycle: the end of its stable run, or the next cycle.
+    run_ends: Tuple[int, ...]
+
+    @classmethod
+    def from_trace(
+        cls,
+        trace: Sequence,
+        final_registers: Mapping[str, int],
+        memmap: MemoryMap = DEFAULT_MEMORY_MAP,
+        variant: MpuVariant = BASELINE_VARIANT,
+    ) -> "MpuLockstep":
+        """Tables of a golden run.
+
+        ``trace`` holds one entry per cycle from cycle 0, each with the
+        MPU's port values (``inputs``) and registers (``state``) of that
+        cycle, as :class:`~repro.soc.soc.MpuTraceEntry` does;
+        ``final_registers`` holds the registers after the last cycle.
+        """
+        model = MpuBehavioral(memmap, variant)
+        names = tuple(model.register_specs())
+        state_of = operator.itemgetter(*names)
+        interned_inputs: Dict[tuple, MpuInputs] = {}
+        inputs = tuple(
+            interned_inputs.setdefault(
+                tuple(entry.inputs.values()), MpuInputs(**entry.inputs)
+            )
+            for entry in trace
+        )
+        interned_states: Dict[tuple, tuple] = {}
+        registers = [entry.state for entry in trace] + [final_registers]
+        states = tuple(
+            interned_states.setdefault(state, state)
+            for state in map(state_of, registers)
+        )
+        outputs = []
+        for state in states:
+            model.regs = dict(zip(names, state))
+            outputs.append(model.outputs())
+        n = len(inputs)
+        # A cycle is fixed when golden's step leaves its registers as is.
+        fixed = [states[cycle + 1] == states[cycle] for cycle in range(n)]
+        run_ends = list(range(1, n + 1))
+        for cycle in reversed(range(n - 1)):
+            if (
+                fixed[cycle]
+                and fixed[cycle + 1]
+                and inputs[cycle + 1] is inputs[cycle]
+            ):
+                run_ends[cycle] = run_ends[cycle + 1]
+        return cls(names, inputs, states, tuple(outputs), tuple(run_ends))
+
+    def steps(
+        self, mpu: MpuBehavioral, cycle: int, stop: int
+    ) -> Iterator[Tuple[int, tuple]]:
+        """Step ``mpu`` on golden's inputs from ``cycle`` toward ``stop``.
+
+        Before each step, ``mpu``'s outputs are compared with golden's.
+        The first cycle where they differ ends the iteration without a
+        step: it is the escape cycle, and ``mpu`` holds its registers
+        there.  After each step this yields the cycle reached and
+        ``mpu``'s registers there as a tuple in :attr:`names` order; a
+        fast-forward yields once, at the run's end (at most ``stop``).
+        """
+        inputs, outputs, run_ends = self.inputs, self.outputs, self.run_ends
+        state_of = operator.itemgetter(*self.names)
+        values = state_of(mpu.regs)
+        while cycle < stop:
+            # Outputs are memoized, so equal ones are usually one object.
+            faulty = mpu.outputs()
+            if faulty is not outputs[cycle] and faulty != outputs[cycle]:
+                return
+            mpu.step(inputs[cycle])
+            stepped = state_of(mpu.regs)
+            if stepped == values:
+                cycle = min(run_ends[cycle], stop)
+            else:
+                cycle += 1
+                values = stepped
+            yield cycle, values
+
+    def run(self, mpu: MpuBehavioral, cycle: int, stop: int) -> int:
+        """:meth:`steps` to the end: the escape cycle, or ``stop``."""
+        for cycle, _values in self.steps(mpu, cycle, stop):
+            pass
+        return cycle
 
 
 def build_mpu_netlist(

@@ -10,7 +10,10 @@ depth; the full conformance tier (``REPRO_CONFORMANCE=full``) compares
 every MPU variant.  The Hypothesis cases use short horizons and force
 every escape path: flipped output registers, parity-protected
 configuration bits, non-MPU registers (which start escaped) and trials
-that run into the end of the run.
+that run into the end of the run.  They run on two programs: the
+synthetic workload, which issues a request every few cycles, and the
+write benchmark, whose golden run idles for tens of cycles at a time,
+so its trials fast-forward far.
 """
 
 import functools
@@ -25,7 +28,7 @@ from repro.core.context import build_context
 from repro.errors import CharacterizationError
 from repro.precharac.lifetime import run_lifetime_campaign
 from repro.rtl.simulator import RtlSimulator
-from repro.soc.mpu import MpuVariant
+from repro.soc.mpu import MpuBehavioral, MpuVariant
 from repro.soc.programs import illegal_write_benchmark, synthetic_workload
 from repro.soc.soc import Soc
 
@@ -77,18 +80,25 @@ class TestProductionDepth:
         assert_same_campaign(actual, expected)
 
 
+#: Program -> (benchmark, cycles run past the halt).
+PROGRAMS = {
+    "synthetic": (functools.partial(synthetic_workload, seed=11), 10),
+    "write": (illegal_write_benchmark, illegal_write_benchmark().cycle_slack),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def synthetic_run(variant):
-    """(register widths, cycle count) of the synthetic workload."""
-    soc = make_soc(variant)
+def program_run(variant, program="synthetic"):
+    """(register widths, cycle count) of a program's run."""
+    soc = make_soc(variant, program)
     return {
         name: spec.width for name, spec in soc.register_specs().items()
-    }, soc.run_until_halt() + 10
+    }, soc.run_until_halt() + PROGRAMS[program][1]
 
 
-def make_soc(variant):
+def make_soc(variant, program="synthetic"):
     soc = Soc(mpu_variant=MpuVariant.parse(variant))
-    soc.load_program(synthetic_workload(seed=11).program.words)
+    soc.load_program(PROGRAMS[program][0]().program.words)
     soc.reset()
     return soc
 
@@ -105,7 +115,8 @@ FAMILIES = {
 @st.composite
 def campaigns(draw):
     variant = draw(st.sampled_from(ALL_VARIANTS))
-    widths, n_cycles = synthetic_run(variant)
+    program = draw(st.sampled_from(sorted(PROGRAMS)))
+    widths, n_cycles = program_run(variant, program)
     horizon = draw(st.integers(1, 40))
     families = draw(
         st.lists(st.sampled_from(sorted(FAMILIES)), min_size=1, max_size=4)
@@ -129,7 +140,7 @@ def campaigns(draw):
             ).map(lambda t: (t[0], min(t[0] + t[1], n_cycles))),
         )
     )
-    return variant, dict(
+    return (variant, program), dict(
         n_cycles=n_cycles,
         target_bits=bits,
         horizon=horizon,
@@ -140,11 +151,20 @@ def campaigns(draw):
     )
 
 
-def outcome(campaign, variant, kwargs):
+#: (variant, flipped bit) cases, each forcing one path through a trial.
+NAMED_PATHS = (
+    ("none", ("viol_q", 0)),          # output flip: escapes at once
+    ("tmr", ("viol_q_b", 0)),         # outvoted rail: stays in lockstep
+    ("parity", ("cfg_top0_par", 0)),  # parity error at next access
+    ("none", ("core_gpr3", 5)),       # outside the MPU: starts escaped
+)
+
+
+def outcome(campaign, soc_args, kwargs):
     """The campaign, or the ``ValueError`` of an upset that left the
     core in a state the SoC model rejects (``core_state`` 5-7)."""
     try:
-        return campaign(make_soc(variant), **kwargs)
+        return campaign(make_soc(*soc_args), **kwargs)
     except ValueError as exc:
         return str(exc)
 
@@ -152,32 +172,65 @@ def outcome(campaign, variant, kwargs):
 class TestEscapePaths:
     @given(campaigns())
     def test_short_horizons_match_reference(self, case):
-        variant, kwargs = case
-        actual = outcome(run_lifetime_campaign, variant, kwargs)
-        expected = outcome(reference_lifetime_campaign, variant, kwargs)
+        soc_args, kwargs = case
+        actual = outcome(run_lifetime_campaign, soc_args, kwargs)
+        expected = outcome(reference_lifetime_campaign, soc_args, kwargs)
         if isinstance(expected, str):
             assert actual == expected
         else:
             assert_same_campaign(actual, expected)
 
     @pytest.mark.parametrize(
-        "variant,bit",
+        "variant,bit,program",
         [
-            ("none", ("viol_q", 0)),       # output flip: escapes at once
-            ("tmr", ("viol_q_b", 0)),      # outvoted rail: stays in lockstep
-            ("parity", ("cfg_top0_par", 0)),  # parity error at next access
-            ("none", ("core_gpr3", 5)),    # outside the MPU: starts escaped
+            # The synthetic workload's cases keep their original ids.
+            pytest.param(
+                variant, bit, program,
+                id=f"{variant}-bit{i}" + (
+                    "" if program == "synthetic" else f"-{program}"
+                ),
+            )
+            for program in ("synthetic", "write")
+            for i, (variant, bit) in enumerate(NAMED_PATHS)
         ],
     )
-    def test_named_paths_match_reference(self, variant, bit):
-        _widths, n_cycles = synthetic_run(variant)
+    def test_named_paths_match_reference(self, variant, bit, program):
+        _widths, n_cycles = program_run(variant, program)
         kwargs = dict(
             n_cycles=n_cycles, target_bits=[bit], horizon=60, n_trials=3,
             seed=5,
         )
-        actual = run_lifetime_campaign(make_soc(variant), **kwargs)
-        expected = reference_lifetime_campaign(make_soc(variant), **kwargs)
+        actual = run_lifetime_campaign(make_soc(variant, program), **kwargs)
+        expected = reference_lifetime_campaign(
+            make_soc(variant, program), **kwargs
+        )
         assert_same_campaign(actual, expected)
+
+    def test_idle_stretches_fast_forward(self, monkeypatch):
+        """A configuration error that never reaches the outputs lives
+        the whole horizon, in fewer standalone MPU steps than that: the
+        write benchmark's golden run idles for tens of cycles at a time."""
+        standalone = []
+        step = MpuBehavioral.step
+        monkeypatch.setattr(
+            MpuBehavioral,
+            "step",
+            lambda mpu, inputs: (
+                standalone.append(mpu) if mpu is not soc.mpu else None,
+                step(mpu, inputs),
+            ),
+        )
+        soc = make_soc("none", "write")
+        _widths, n_cycles = program_run("none", "write")
+        kwargs = dict(
+            n_cycles=n_cycles, target_bits=[("cfg_base5", 3)], horizon=150,
+            n_trials=1, seed=3, injection_window=(50, 90),
+        )
+        campaign = run_lifetime_campaign(soc, **kwargs)
+        assert campaign.results[("cfg_base5", 3)].lifetime == 150
+        assert 0 < len(standalone) < 150
+        expected = reference_lifetime_campaign(make_soc("none", "write"), **kwargs)
+        assert_same_campaign(campaign, expected)
 
     def test_device_without_an_mpu_starts_escaped(self):
         # A one-register device: the state tuples still hold one value.
@@ -199,7 +252,7 @@ class TestEscapePaths:
             "step",
             lambda sim, traces=None: (steps.append(1), step(sim, traces)),
         )
-        _widths, n_cycles = synthetic_run("none")
+        _widths, n_cycles = program_run("none")
         campaign = run_lifetime_campaign(
             make_soc("none"), n_cycles, [("cfg_base5", 3)], horizon=60,
             n_trials=2, seed=3,
@@ -219,13 +272,13 @@ class TestErrors:
         ],
     )
     def test_same_errors_as_reference(self, bits, error):
-        _widths, n_cycles = synthetic_run("none")
+        _widths, n_cycles = program_run("none")
         for campaign in (run_lifetime_campaign, reference_lifetime_campaign):
             with pytest.raises(error):
                 campaign(make_soc("none"), n_cycles, bits, horizon=20)
 
     def test_empty_window_and_short_run(self):
-        _widths, n_cycles = synthetic_run("none")
+        _widths, n_cycles = program_run("none")
         for campaign in (run_lifetime_campaign, reference_lifetime_campaign):
             with pytest.raises(CharacterizationError, match="empty"):
                 campaign(

@@ -1,14 +1,20 @@
 """ServiceClient transport-retry policy: idempotent GETs retry with
 exponential backoff on connection failures; everything else fails fast.
+A response cut short or not parsable is a transport failure too.
 """
 
+import http.server
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.errors import ServiceError
+from repro.fleet import FleetWorker
 from repro.service import EvaluationService, ServiceClient, ServiceServer
+
+from tests.fleet.helpers import stub_factory
 
 
 @pytest.fixture()
@@ -146,3 +152,108 @@ class TestGetRetry:
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
         assert time.monotonic() - start < 5
+
+
+class _FaultHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every request with the server's ``fault``."""
+
+    def do_GET(self):
+        self.server.requests.append(self.command)
+        self.server.fault(self)
+
+    do_POST = do_GET
+
+    def log_message(self, *args):
+        pass
+
+
+def cut_response(handler):
+    """A 200 promising 100 bytes, cut off after 13."""
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"status": "o')
+    handler.wfile.flush()
+    handler.connection.shutdown(socket.SHUT_RDWR)
+    handler.close_connection = True
+
+
+def html_response(handler):
+    """A complete 200 whose body is not JSON."""
+    body = b"<html><body>502 Bad Gateway</body></html>"
+    handler.send_response(200)
+    handler.send_header("Content-Type", "text/html")
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+@pytest.fixture()
+def fault_server():
+    """``start(fault)`` serves ``fault`` on a local port; returns the
+    server, whose ``requests`` lists the methods it has seen."""
+    servers = []
+
+    def start(fault):
+        server = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), _FaultHandler
+        )
+        server.fault = fault
+        server.requests = []
+        server.url = "http://127.0.0.1:%d" % server.server_address[1]
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+class TestBrokenResponses:
+    @pytest.mark.parametrize("fault", [cut_response, html_response])
+    def test_get_retries_a_broken_response(self, fault_server, fault):
+        server = fault_server(fault)
+        sleeps = []
+        client = ServiceClient(
+            server.url, retries=2, retry_backoff_s=0.5, sleep=sleeps.append
+        )
+        with pytest.raises(ServiceError, match="response") as info:
+            client.healthz()
+        assert info.value.status == 0
+        assert sleeps == [0.5, 1.0]
+        assert server.requests == ["GET"] * 3
+
+    @pytest.mark.parametrize("fault", [cut_response, html_response])
+    def test_post_still_fails_fast(self, fault_server, fault):
+        server = fault_server(fault)
+        sleeps = []
+        client = ServiceClient(server.url, retries=2, sleep=sleeps.append)
+        with pytest.raises(ServiceError) as info:
+            client.lease("w1")
+        assert info.value.status == 0
+        assert sleeps == []
+        assert server.requests == ["POST"]
+
+    def test_worker_thread_survives_a_cut_lease_answer(self, fault_server):
+        server = fault_server(cut_response)
+        worker = FleetWorker(
+            ServiceClient(server.url, timeout_s=5),
+            worker_id="w1",
+            poll_s=0.01,
+            engine_factory=stub_factory,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(server.requests) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server.requests) >= 3  # it leased again after a cut
+            assert thread.is_alive()
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
