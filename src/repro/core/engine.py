@@ -4,8 +4,10 @@ Per sample:
 
 1. draw ``(t, p)`` from the active sampling strategy (with its importance
    weight);
-2. restart the RTL simulation from the nearest golden checkpoint and run to
-   the injection cycle ``Te = Tt - t``;
+2. take the injection cycle ``Te = Tt - t``'s MPU stimulus and register
+   state from golden's recorded trace (``Design.mpu_trace``); the SoC
+   restarts from a golden checkpoint only when a faulty run escapes the
+   MPU (step 4);
 3. switch to gate level for the injection cycle: generate the technique's
    voltage transients / direct flops upsets, propagate, and collect the
    register bits latched wrong;
@@ -21,10 +23,10 @@ Per sample:
    outcome (malicious operation committed *and* undetected).
 
 One kernel runs this flow: :meth:`CrossLevelEngine.run_batch`.  Samples
-sharing an injection cycle share that cycle's RTL restart and golden
-gate-level baseline; a sample whose flips latch continues on its own
-faulty trajectory.  ``evaluate`` draws every sample and injection up front
-and makes one ``run_batch`` call; ``run_sample`` is a batch of one.
+sharing an injection cycle share that cycle's golden gate-level baseline;
+a sample whose flips latch continues on its own faulty trajectory.
+``evaluate`` draws every sample and injection up front and makes one
+``run_batch`` call; ``run_sample`` is a batch of one.
 
 Observability: with ``observe=True`` (the default) each ``evaluate`` call
 records stage wall times (one lap per stage of the batch), outcome
@@ -52,6 +54,7 @@ from repro.core.analytical import AnalyticalEvaluator
 from repro.core.context import EvaluationContext
 from repro.core.results import CampaignResult, OutcomeCategory, SampleRecord
 from repro.errors import EvaluationError
+from repro.gatesim.transient import CycleBaseline
 from repro.obs.engine_metrics import (
     metrics_from_records,
     observe_baseline_store,
@@ -61,11 +64,17 @@ from repro.obs.engine_metrics import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_CLOCK, StageClock
-from repro.rtl.checkpoint import Checkpoint
 from repro.sampling.base import Sampler
 from repro.sampling.estimator import SsfEstimator
 from repro.soc.mpu import MpuBehavioral
 from repro.utils.rng import SeedLike, as_generator, sample_seed_sequence
+
+
+#: Max memoized classification outcomes (see ``_finish_diverged``): the
+#: post-divergence verdict is a pure function of (resume cycle, flipped
+#: bits), so batches with few distinct flip patterns pay one RTL resume /
+#: analytical call per pattern instead of per sample.
+OUTCOME_CACHE_SIZE = 4096
 
 
 @dataclass
@@ -74,13 +83,6 @@ class EngineConfig:
 
     # Use the analytical evaluator when all faulty bits are memory-type.
     analytical_memory_eval: bool = True
-    # Max (injection cycle -> baseline/checkpoint) entries kept per engine.
-    baseline_cache_size: int = 128
-    # Max memoized classification outcomes (see _finish_diverged): the
-    # post-divergence verdict is a pure function of (restored cycle,
-    # flipped bits), so batches with few distinct flip patterns pay one
-    # RTL resume / analytical call per pattern instead of per sample.
-    outcome_cache_size: int = 4096
 
 
 def _masks(flipped: FrozenSet[Tuple[str, int]]) -> Dict[str, int]:
@@ -108,23 +110,22 @@ class CrossLevelEngine:
         self.observe = observe
         # Structural tables only: shared by every engine on the design.
         self.transient_sim = context.transient_sim
-        # Per-(injection cycle) baseline cache for the batched kernel: the
-        # post-step RTL snapshot, the recorded MPU trace entry, and the
-        # shared gate-level CycleBaseline.  LRU-bounded; persists across
-        # evaluate calls (one engine lives per scheduler worker, so the
-        # cache also spans chunks).
-        self._cycle_cache: "OrderedDict[int, tuple]" = OrderedDict()
+        # The shared gate-level CycleBaseline of each injection cycle.
+        # Keys are cycles in [0, n_cycles), so it needs no bound; it
+        # persists across evaluate calls (one engine lives per scheduler
+        # worker, so the cache also spans chunks).
+        self._cycle_cache: Dict[int, CycleBaseline] = {}
         self._cache_hits = 0
         self._cache_misses = 0
-        # Optional persistent tier behind the LRU (duck-typed; see
-        # repro.service.artifacts.CycleBaselineStore): consulted on an LRU
-        # miss before recomputing, written through on every compute, so
-        # repeat campaigns on the same (design, workload) skip golden
-        # simulation even across processes.
+        # Optional persistent tier behind the cache (duck-typed; see
+        # repro.service.artifacts.CycleBaselineStore): consulted on a
+        # cache miss before recomputing, written through on every
+        # compute, so repeat campaigns on the same (design, workload)
+        # skip the golden gate-level evaluation even across processes.
         self.baseline_store = baseline_store
         self._store_reported = (0, 0, 0, 0)
         # Memoized post-divergence outcomes, keyed on
-        # (restored cycle, flipped bits, impact_cycles); LRU-bounded.
+        # (resume cycle, flipped bits, impact_cycles); LRU-bounded.
         self._outcome_cache: "OrderedDict[tuple, int]" = OrderedDict()
         # The faulty MPU that resumes step beside golden (_start_lockstep).
         self._mpu = MpuBehavioral(context.memmap, context.mpu_variant)
@@ -181,14 +182,14 @@ class CrossLevelEngine:
         Samples sharing an injection cycle are packed into gate-level
         :meth:`~repro.gatesim.transient.TransientSimulator.
         simulate_cycle_batch` calls over the cached cycle baselines, so
-        the RTL restart/step and the golden logic evaluation happen once
-        per distinct cycle instead of once per sample.  Multi-cycle
-        techniques stay batched while every sample's RTL trajectory is
-        still golden — each impact cycle of a group shares that cycle's
-        baseline — and a sample whose first flips latch at step ``s``
-        diverges to a per-sample continuation over its remaining cycles
-        (per-sample writeback makes the state diverge from there, so
-        there is nothing left to share).
+        the golden logic evaluation happens once per distinct cycle
+        instead of once per sample.  Multi-cycle techniques stay batched
+        while every sample's RTL trajectory is still golden — each
+        impact cycle of a group shares that cycle's baseline — and a
+        sample whose first flips latch at step ``s`` diverges to a
+        per-sample continuation over its remaining cycles (per-sample
+        writeback makes the state diverge from there, so there is
+        nothing left to share).
 
         ``rngs`` must hold one generator per sample; all of a sample's
         per-cycle injections are drawn from it up front (see
@@ -242,9 +243,8 @@ class CrossLevelEngine:
             n_injected = dict.fromkeys(indices, 0)
             n_latched = dict.fromkeys(indices, 0)
             for step in range(n_exec):
-                entry, post_step, baseline = self._cycle_state(
-                    injection_cycle + step, registry
-                )
+                entry = context.mpu_trace[injection_cycle + step]
+                baseline = self._cycle_state(injection_cycle + step)
                 clock.lap("restart")
                 results = self.transient_sim.simulate_cycle_batch(
                     entry.inputs,
@@ -266,7 +266,7 @@ class CrossLevelEngine:
                         samples[i],
                         cycles[i],
                         frozenset(result.flipped_bits),
-                        post_step,
+                        injection_cycle + step + 1,
                         injections[i][step + 1 :],
                         n_injected[i],
                         n_latched[i],
@@ -322,53 +322,33 @@ class CrossLevelEngine:
             for _ in range(n_exec)
         ]
 
-    def _cycle_state(
-        self, injection_cycle: int, registry: Optional[MetricsRegistry]
-    ):
-        """The shared per-cycle state: trace entry, snapshot, baseline.
+    def _cycle_state(self, cycle: int) -> CycleBaseline:
+        """The shared gate-level baseline of injection cycle ``cycle``.
 
-        An LRU miss consults the persistent baseline store (when
-        configured) before recomputing: a store hit means the RTL
-        restart/step and golden gate evaluation of this cycle were paid
-        by an earlier campaign, possibly in another process.  A full
-        miss restarts the RTL from the nearest golden checkpoint, steps
-        through the injection cycle recording the MPU trace, snapshots
-        the post-step state (so faulty samples can resume without
-        repeating the restart), evaluates the golden gate-level
-        baseline — and writes the result through to the store.
+        The cycle's MPU stimulus and register state are golden's
+        recorded trace entry (``context.mpu_trace[cycle]``), so no RTL
+        runs here.  A cache miss consults the persistent baseline store
+        (when configured) before recomputing: a store hit means the
+        golden gate evaluation of this cycle was paid by an earlier
+        campaign, possibly in another process.  A full miss evaluates
+        the baseline from the trace entry and writes it through to the
+        store.
         """
-        cached = self._cycle_cache.get(injection_cycle)
-        if cached is not None:
-            self._cycle_cache.move_to_end(injection_cycle)
+        baseline = self._cycle_cache.get(cycle)
+        if baseline is not None:
             self._cache_hits += 1
-            return cached
+            return baseline
         self._cache_misses += 1
-        if self.baseline_store is not None:
-            state = self.baseline_store.load(injection_cycle)
-            if state is not None:
-                self._insert_cycle_state(injection_cycle, state)
-                return state
-        context = self.context
-        simulator = context.simulator
-        soc = context.soc
-        simulator.restart_from(context.golden, injection_cycle)
-        soc.record_mpu_trace = True
-        soc.mpu_trace = []
-        simulator.step()
-        soc.record_mpu_trace = False
-        entry = soc.mpu_trace[-1]
-        post_step = Checkpoint.capture(soc, simulator.cycle)
-        baseline = self.transient_sim.make_baseline(entry.inputs, entry.state)
-        state = (entry, post_step, baseline)
-        self._insert_cycle_state(injection_cycle, state)
-        if self.baseline_store is not None:
-            self.baseline_store.save(injection_cycle, *state)
-        return state
-
-    def _insert_cycle_state(self, injection_cycle: int, state: tuple) -> None:
-        self._cycle_cache[injection_cycle] = state
-        while len(self._cycle_cache) > self.config.baseline_cache_size:
-            self._cycle_cache.popitem(last=False)
+        store = self.baseline_store
+        if store is not None:
+            baseline = store.load(cycle)
+        if baseline is None:
+            entry = self.context.mpu_trace[cycle]
+            baseline = self.transient_sim.make_baseline(entry.inputs, entry.state)
+            if store is not None:
+                store.save(cycle, baseline)
+        self._cycle_cache[cycle] = baseline
+        return baseline
 
     @property
     def baseline_store_stats(self) -> Tuple[int, int]:
@@ -439,7 +419,7 @@ class CrossLevelEngine:
         sample: AttackSample,
         injection_cycle: int,
         flipped: FrozenSet[Tuple[str, int]],
-        post_step: Checkpoint,
+        cycle: int,
         remaining: List,
         n_injected: int,
         n_latched: int,
@@ -448,12 +428,14 @@ class CrossLevelEngine:
     ) -> SampleRecord:
         """Per-sample continuation of one batched sample after its first flips.
 
-        ``remaining`` holds the sample's pre-drawn injections for impact
-        cycles after the one that flipped.  With none left, the verdict
-        is a pure function of (restored cycle, flipped bits) — the
-        resume starts from golden's state at that cycle and the
-        analytical evaluator is deterministic — so it is memoized across
-        the batch (and the engine's lifetime) in ``_outcome_cache``.
+        ``cycle`` follows the impact cycle whose flips latched: the
+        faulty run resumes there.  ``remaining`` holds the sample's
+        pre-drawn injections for impact cycles after the one that
+        flipped.  With none left, the verdict is a pure function of
+        (``cycle``, flipped bits) — the resume starts from golden's
+        state at that cycle and the analytical evaluator is
+        deterministic — so it is memoized across the batch (and the
+        engine's lifetime) in ``_outcome_cache``.
         With cycles left, the sample runs them one by one: per-cycle
         step, gate simulation, and writeback on a now per-sample faulty
         trajectory (including flips cancelling back to a masked outcome
@@ -470,7 +452,6 @@ class CrossLevelEngine:
         soc = context.soc
         if remaining:
             lockstep = context.mpu_lockstep
-            cycle = post_step.cycle
             self._start_lockstep(cycle, flipped)
             escaped = False
             clock.lap("writeback")
@@ -556,7 +537,7 @@ class CrossLevelEngine:
             and self.config.analytical_memory_eval
             and self._analytical is not None
         )
-        key = (post_step.cycle, flipped, impact_cycles)
+        key = (cycle, flipped, impact_cycles)
         e = self._outcome_cache.get(key)
         if e is not None:
             self._outcome_cache.move_to_end(key)
@@ -567,14 +548,14 @@ class CrossLevelEngine:
             else:
                 # The MPU state after the step is golden's, as is the
                 # rest of the SoC's, until the lockstep escapes.
-                self._start_lockstep(post_step.cycle, flipped)
+                self._start_lockstep(cycle, flipped)
                 clock.lap("writeback")
-                self._resume_lockstep(post_step.cycle)
+                self._resume_lockstep(cycle)
                 clock.lap("rtl_resume")
                 e = 1 if context.benchmark.attack_succeeded(soc) else 0
                 clock.lap("compare")
             self._outcome_cache[key] = e
-            while len(self._outcome_cache) > self.config.outcome_cache_size:
+            while len(self._outcome_cache) > OUTCOME_CACHE_SIZE:
                 self._outcome_cache.popitem(last=False)
         return SampleRecord(
             sample=sample,

@@ -73,7 +73,7 @@ FUNNEL_STAGES: Tuple[str, ...] = (
 #: Per-sample engine stages, in pipeline order (span + histogram labels).
 STAGES: Tuple[str, ...] = (
     "draw",          # sampling strategy draw
-    "restart",       # checkpoint restart + RTL run-to-injection
+    "restart",       # the injection cycle's shared gate-level baseline
     "rtl_step",      # stepping the injection cycle(s) at RTL
     "transient",     # transient generation + gate-level propagation + latch
     "writeback",     # latched errors written back into the RTL state
@@ -138,12 +138,13 @@ def observe_baseline_store(
     """Record persistent baseline-store traffic deltas for one batch.
 
     Mirrors :func:`observe_batch`'s cache counters one level down the
-    hierarchy: the in-memory LRU fronts the on-disk store, so a store
-    hit means "golden simulation skipped across processes".  ``rejected``
-    counts artifacts discarded on load because their fingerprint or
-    precharacterization version no longer matches (each rejection is
-    also a miss).  Store traffic depends on what earlier campaigns left
-    on disk, so everything here is non-deterministic.
+    hierarchy: the engine's in-memory cache fronts the on-disk store,
+    so a store hit means "golden gate evaluation skipped across
+    processes".  ``rejected`` counts artifacts discarded on load because
+    their fingerprint, precharacterization or format version no longer
+    matches (each rejection is also a miss).  Store traffic depends on
+    what earlier campaigns left on disk, so everything here is
+    non-deterministic.
     """
     if not (hits or misses or rejected or writes):
         return

@@ -31,10 +31,6 @@ class GoldenRun:
     final: Checkpoint
     traces: Dict[str, List[object]] = field(default_factory=dict)
 
-    def golden_state_at(self, cycle: int) -> Checkpoint:
-        """Exact golden checkpoint at a cycle (must be a dump cycle)."""
-        return self.checkpoints.at(cycle)
-
 
 class RtlSimulator:
     """Cycle driver for one device."""

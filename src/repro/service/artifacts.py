@@ -10,9 +10,11 @@ cache entries for the result cache but share this precomputation.
 
 :class:`ArtifactStore` addresses artifacts by a SHA-256 over the
 artifact kind plus its canonical key fields, salted with
-:func:`~repro.campaign.spec_hash.code_version_salt` — a code upgrade
-that could change the derived data invalidates the store wholesale, the
-same policy the result cache applies.  Writes go through
+:func:`~repro.campaign.spec_hash.code_version_salt` (the package version
+and the spec-hash schema), so a release that bumps either starts a fresh
+store.  Within one version an artifact is re-keyed only by its own key
+fields: the cycle baselines key on the netlist fingerprint and the
+precharacterization and baseline format versions.  Writes go through
 :mod:`repro.utils.durable` (a unique temporary moved into place), so a
 crashed builder never leaves a truncated artifact to poison later runs.
 """
@@ -31,8 +33,11 @@ KIND_PRECHARAC = "precharac"
 #: Per-cycle golden baseline JSON (``CycleBaselineStore``).
 KIND_BASELINE = "baseline"
 
-#: Payload schema of one persisted cycle baseline.
-BASELINE_FORMAT_VERSION = 1
+#: Payload schema of one persisted cycle baseline.  It is part of the
+#: address (the code-version salt moves only with the package version),
+#: so bump it whenever the payload changes: a file in another schema is
+#: then never found, rather than found and rejected on every load.
+BASELINE_FORMAT_VERSION = 2
 
 #: ``builder(path)`` materializes the artifact at ``path``.
 ArtifactBuilder = Callable[[pathlib.Path], None]
@@ -149,20 +154,20 @@ class CycleBaselineStore:
     """Persistent per-cycle golden baselines for one (design, workload).
 
     The second cache tier behind :class:`~repro.core.engine.
-    CrossLevelEngine`'s in-memory LRU: each entry is the full shared
-    per-cycle state — the MPU trace entry, the post-step architectural
-    checkpoint, and the gate-level :class:`~repro.gatesim.transient.
-    CycleBaseline` — addressed content-wise by (benchmark, variant,
-    netlist fingerprint, precharacterization version, cycle) under the
-    service's :class:`ArtifactStore` (which salts every key with the
-    code version).  A campaign on a design whose netlist changed in any
-    way therefore *misses* — never loads stale golden state — and the
+    CrossLevelEngine`'s in-memory cache: each entry is one cycle's
+    gate-level :class:`~repro.gatesim.transient.CycleBaseline` (its node
+    values and fault-free next state), addressed content-wise by
+    (benchmark, variant, netlist fingerprint, precharacterization
+    version, format version, cycle) under the service's
+    :class:`ArtifactStore` (which salts every key with the code
+    version).  A campaign on a design whose netlist changed in any way
+    therefore *misses* — never loads stale golden state — and the
     payload additionally embeds the fingerprint so a tampered or
     hand-moved artifact is rejected on load rather than trusted.
 
-    Everything persisted is integers (register words, int8 node values),
-    so a JSON round-trip is exact and a loaded baseline is bit-identical
-    to a recomputed one.
+    Everything persisted is integers (int8 node values, register
+    words), so a JSON round-trip is exact and a loaded baseline is
+    bit-identical to a recomputed one.
     """
 
     def __init__(
@@ -190,27 +195,26 @@ class CycleBaselineStore:
             variant=self.variant,
             fingerprint=self.fingerprint,
             precharac_version=self.precharac_version,
+            format_version=BASELINE_FORMAT_VERSION,
             cycle=cycle,
         )
 
     def load(self, cycle: int):
-        """Return ``(entry, post_step, baseline)`` or None (a miss).
+        """Return the cycle's ``CycleBaseline``, or None (a miss).
 
-        The engine calls this on an LRU miss, so every call is demand.
-        An artifact whose embedded fingerprint or precharacterization
-        version disagrees with this store's is rejected (counted, and a
-        miss), so a stale baseline can only ever cost a recompute, never
-        a wrong SSF.
+        The engine calls this on a cache miss, so every call is demand.
+        An artifact whose embedded fingerprint, precharacterization
+        version or format version disagrees with this store's is
+        rejected (counted, and a miss), so a stale baseline can only
+        ever cost a recompute, never a wrong SSF.  The pin mask is not
+        persisted: the gate level derives it on first use.
         """
         import numpy as np
 
         from repro.gatesim.transient import CycleBaseline
-        from repro.rtl.checkpoint import Checkpoint
-        from repro.soc.soc import MpuTraceEntry
 
-        path = self._path(cycle)
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(self._path(cycle).read_text())
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -222,26 +226,15 @@ class CycleBaselineStore:
             self.rejected += 1
             self.misses += 1
             return None
-        data = payload["state"]
-        entry = MpuTraceEntry(
-            cycle=data["entry"]["cycle"],
-            inputs=dict(data["entry"]["inputs"]),
-            state=dict(data["entry"]["state"]),
-        )
-        post_step = Checkpoint(
-            cycle=data["post_step"]["cycle"],
-            registers=dict(data["post_step"]["registers"]),
-            arrays={k: list(v) for k, v in data["post_step"]["arrays"].items()},
-        )
         baseline = CycleBaseline(
-            values=np.asarray(data["values"], dtype=np.int8),
-            golden_next=dict(data["golden_next"]),
+            values=np.asarray(payload["values"], dtype=np.int8),
+            golden_next=dict(payload["golden_next"]),
         )
         self.hits += 1
-        return entry, post_step, baseline
+        return baseline
 
-    def save(self, cycle: int, entry, post_step, baseline) -> None:
-        """Write one cycle's state through to disk (atomic, idempotent)."""
+    def save(self, cycle: int, baseline) -> None:
+        """Write one cycle's baseline through to disk (atomic, idempotent)."""
         path = self._path(cycle)
         if path.exists():
             return
@@ -250,20 +243,8 @@ class CycleBaselineStore:
             "fingerprint": self.fingerprint,
             "precharac_version": self.precharac_version,
             "cycle": cycle,
-            "state": {
-                "entry": {
-                    "cycle": entry.cycle,
-                    "inputs": dict(entry.inputs),
-                    "state": dict(entry.state),
-                },
-                "post_step": {
-                    "cycle": post_step.cycle,
-                    "registers": dict(post_step.registers),
-                    "arrays": {k: list(v) for k, v in post_step.arrays.items()},
-                },
-                "values": [int(v) for v in baseline.values],
-                "golden_next": dict(baseline.golden_next),
-            },
+            "values": [int(v) for v in baseline.values],
+            "golden_next": dict(baseline.golden_next),
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(path, json.dumps(payload))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import default_attack_spec
 from repro.conformance import DESIGNS, get_design
 from repro.conformance.differential import build_samplers
-from repro.core.engine import CrossLevelEngine, EngineConfig
+from repro.core.engine import CrossLevelEngine
 from repro.core.results import OutcomeCategory
 from repro.obs.metrics import MetricsRegistry, deterministic_view
 from repro.sampling import ImportanceSampler, RandomSampler
@@ -251,19 +251,6 @@ class TestGatingAndCache:
         # Same 6-cycle window: the second call re-hits the cached cycles.
         assert misses_second == misses_first
         assert hits_second > hits_first
-
-    def test_cache_is_lru_bounded(self, small_context):
-        spec = default_attack_spec(
-            small_context, window=10, subblock_fraction=0.25
-        )
-        engine = CrossLevelEngine(
-            small_context, spec,
-            config=EngineConfig(baseline_cache_size=3),
-        )
-        sampler = RandomSampler(spec)
-        result = engine.evaluate(sampler, 60, seed=np.random.SeedSequence(3))
-        assert len(result.records) == 60
-        assert len(engine._cycle_cache) <= 3
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,10 @@ the first cycle whose MPU outputs differ from golden's.  Compared here:
   and off, against ``tests/core/scalar_reference.py``: the records are
   equal, and so is the final SoC state of every sample that resumed;
 * the RTL work of a resume: no SoC step for one that never escapes,
-  one restart for one that does.
+  one restart for one that does;
+* the shared baseline of every injection cycle, which the engine builds
+  from golden's recorded MPU trace without running the RTL, against the
+  baseline of the entry a whole-SoC restart and step records.
 
 Tier-1 draws the ``none`` and ``parity`` variants; the full conformance
 tier (``REPRO_CONFORMANCE=full``) draws all six.
@@ -111,12 +114,27 @@ def final_state(context):
 def resume(engine, flips, injection_cycle):
     """The engine's verdict on ``flips`` latched at ``injection_cycle``,
     through its RTL resume (never the analytical path or the memo)."""
-    _entry, post_step, _baseline = engine._cycle_state(injection_cycle, None)
     engine._outcome_cache.clear()
     record = engine._finish_diverged(
-        None, injection_cycle, frozenset(flips), post_step, [], 0, 0, 1
+        None, injection_cycle, frozenset(flips), injection_cycle + 1, [], 0,
+        0, 1,
     )
     return record.e
+
+
+@pytest.fixture
+def rtl_calls(monkeypatch):
+    """Counts of the ``RtlSimulator`` calls that run the SoC."""
+    calls = {"step": 0, "restart_from": 0, "run_to": 0}
+    for name in calls:
+        method = getattr(RtlSimulator, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(RtlSimulator, name, counted)
+    return calls
 
 
 @st.composite
@@ -216,26 +234,12 @@ class TestBatchAgainstReference:
 
 
 class TestResumeWork:
-    @pytest.fixture
-    def rtl_calls(self, monkeypatch):
-        calls = {"step": 0, "restart_from": 0, "run_to": 0}
-        for name in calls:
-            method = getattr(RtlSimulator, name)
-
-            def counted(*args, _name=name, _method=method, **kwargs):
-                calls[_name] += 1
-                return _method(*args, **kwargs)
-
-            monkeypatch.setattr(RtlSimulator, name, counted)
-        return calls
-
     def test_a_resume_that_never_escapes_steps_no_soc(self, rtl_calls):
         # Region 5 is disabled: its bounds never decide an access.
         flips = {("cfg_base5", 3)}
         engine = engine_on("none", analytical=False)
         cycle = design("none").target_cycle - 40
-        engine._cycle_state(cycle, None)
-        rtl_calls.update(dict.fromkeys(rtl_calls, 0))
+        rtl_calls.update(dict.fromkeys(rtl_calls, 0))  # after the build
         e = resume(engine, flips, cycle)
         assert rtl_calls == {"step": 0, "restart_from": 0, "run_to": 0}
         expected = engine_on("none").probe_register_flips(flips, cycle)
@@ -245,7 +249,42 @@ class TestResumeWork:
         # A decision-register flip reaches the outputs at once.
         engine = engine_on("none", analytical=False)
         cycle = design("none").target_cycle - 5
-        engine._cycle_state(cycle, None)
         rtl_calls.update(dict.fromkeys(rtl_calls, 0))
         resume(engine, {("viol_q", 0)}, cycle)
         assert rtl_calls["restart_from"] == 1
+
+
+class TestCycleState:
+    def test_a_cold_cycle_state_runs_no_rtl(self, rtl_calls):
+        engine = engine_on("none")
+        context = engine.context
+        rtl_calls.update(dict.fromkeys(rtl_calls, 0))  # after the build
+        for cycle in (0, context.target_cycle, context.n_cycles - 1):
+            engine._cycle_state(cycle)
+        assert engine.baseline_cache_stats == (0, 3)
+        assert rtl_calls == {"step": 0, "restart_from": 0, "run_to": 0}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_cycle_matches_a_whole_soc_step(self, variant):
+        """The baseline of every injection cycle equals the one built on
+        the trace entry of a whole-SoC restart from golden and one
+        recorded step: the injection cycle's stimulus and MPU state."""
+        engine = engine_on(variant)
+        context = engine.context
+        simulator, soc = context.simulator, context.soc
+        for cycle in range(context.n_cycles):
+            simulator.restart_from(context.golden, cycle)
+            soc.record_mpu_trace = True
+            soc.mpu_trace = []
+            simulator.step()
+            soc.record_mpu_trace = False
+            (entry,) = soc.mpu_trace
+            assert entry == context.mpu_trace[cycle]
+            expected = engine.transient_sim.make_baseline(
+                entry.inputs, entry.state
+            )
+            baseline = engine._cycle_state(cycle)
+            assert baseline.values.dtype == expected.values.dtype
+            assert np.array_equal(baseline.values, expected.values)
+            assert baseline.golden_next == expected.golden_next
+            assert baseline.pin_mask == expected.pin_mask

@@ -2,23 +2,25 @@
 reuse.
 
 The ``CycleBaselineStore`` is the durable tier behind the engine's
-in-memory LRU of per-cycle golden state.  Its contract has two halves:
+in-memory cache of per-cycle gate-level baselines.  Its contract has
+two halves:
 
 * a loaded baseline is **bit-identical** to a recomputed one (everything
   persisted is integers, so JSON round-trips exactly), and
 * a baseline that *might not* match the current design is **never
   loaded** — a changed netlist fingerprint or precharacterization
-  version keys to a different artifact (miss) and a tampered or
-  hand-moved payload is rejected on its embedded metadata.  Staleness
-  can only ever cost a recompute, never a wrong SSF.
+  version, or a file in another format version, keys to a different
+  artifact (miss) and a tampered or hand-moved payload is rejected on
+  its embedded metadata.  Staleness can only ever cost a recompute,
+  never a wrong SSF.
 
 The cross-process half runs the real service path: campaign A populates
 the service's content-addressed artifact root, a *restarted* service
 (new instance, same root) runs campaign B, and B's merged metrics show
 store hits with an SSF bit-identical to a cold-store reference run.  The
 fleet mirror drives ``FleetWorker``'s ``--artifacts-dir`` the same way.
-Baselines load on first demand: an engine reads the store only on an
-LRU miss, never ahead of one.
+Baselines load on first demand: an engine reads the store only on a
+cache miss, never ahead of one.
 """
 
 import json
@@ -30,8 +32,10 @@ from repro import default_attack_spec
 from repro.campaign import CampaignSpec, RunStore, StoppingConfig
 from repro.core.engine import CrossLevelEngine
 from repro.fleet import FleetWorker
+from repro.gatesim.transient import CycleBaseline
 from repro.sampling import RandomSampler
 from repro.service import EvaluationService
+from repro.service import artifacts
 from repro.service.artifacts import (
     BASELINE_FORMAT_VERSION,
     ArtifactStore,
@@ -65,17 +69,14 @@ def _store_for(artifact_root, context, **overrides):
 class TestRoundTrip:
     def test_save_load_bit_identical(self, artifact_root, engine):
         store = _store_for(artifact_root, engine.context)
-        entry, post_step, baseline = engine._cycle_state(5, None)
-        store.save(5, entry, post_step, baseline)
+        baseline = engine._cycle_state(5)
+        store.save(5, baseline)
         assert store.writes == 1
         loaded = store.load(5)
-        assert loaded is not None
-        l_entry, l_post, l_baseline = loaded
-        assert l_entry == entry
-        assert l_post == post_step
-        assert (l_baseline.values == baseline.values).all()
-        assert l_baseline.values.dtype == baseline.values.dtype
-        assert l_baseline.golden_next == baseline.golden_next
+        assert isinstance(loaded, CycleBaseline)
+        assert (loaded.values == baseline.values).all()
+        assert loaded.values.dtype == baseline.values.dtype
+        assert loaded.golden_next == baseline.golden_next
         assert (store.hits, store.misses) == (1, 0)
 
     def test_loaded_baseline_derives_the_recomputed_pin_mask(
@@ -85,17 +86,16 @@ class TestRoundTrip:
         carries values only and gets, on first use, the mask a fresh
         engine recomputes from scratch."""
         store = _store_for(artifact_root, engine.context)
-        entry, post_step, baseline = engine._cycle_state(5, None)
-        store.save(5, entry, post_step, baseline)
-        assert "pin_mask" not in json.loads(store._path(5).read_text())["state"]
-        _, _, loaded = store.load(5)
+        store.save(5, engine._cycle_state(5))
+        assert "pin_mask" not in json.loads(store._path(5).read_text())
+        loaded = store.load(5)
         assert loaded.pin_mask is None
+        entry = engine.context.mpu_trace[5]
         engine.transient_sim.simulate_cycle_batch(
             entry.inputs, entry.state, [], baseline=loaded
         )
         fresh = CrossLevelEngine(engine.context, engine.spec)
-        _, _, recomputed = fresh._cycle_state(5, None)
-        assert loaded.pin_mask == recomputed.pin_mask
+        assert loaded.pin_mask == fresh._cycle_state(5).pin_mask
 
     def test_absent_cycle_is_a_miss(self, artifact_root, engine):
         store = _store_for(artifact_root, engine.context)
@@ -104,9 +104,9 @@ class TestRoundTrip:
 
     def test_save_is_idempotent(self, artifact_root, engine):
         store = _store_for(artifact_root, engine.context)
-        state = engine._cycle_state(2, None)
-        store.save(2, *state)
-        store.save(2, *state)
+        baseline = engine._cycle_state(2)
+        store.save(2, baseline)
+        store.save(2, baseline)
         assert store.writes == 1
 
 
@@ -115,7 +115,7 @@ class TestStaleness:
 
     def test_changed_fingerprint_misses(self, artifact_root, engine):
         writer = _store_for(artifact_root, engine.context)
-        writer.save(0, *engine._cycle_state(0, None))
+        writer.save(0, engine._cycle_state(0))
         # Same artifact root, but the design grew a node between
         # campaigns: the key diverges, so the old artifact is unreachable.
         mutated = dict(netlist_fingerprint(engine.context.netlist))
@@ -126,7 +126,7 @@ class TestStaleness:
 
     def test_changed_precharac_version_misses(self, artifact_root, engine):
         writer = _store_for(artifact_root, engine.context)
-        writer.save(0, *engine._cycle_state(0, None))
+        writer.save(0, engine._cycle_state(0))
         reader = _store_for(
             artifact_root, engine.context,
             precharac_version=writer.precharac_version + 1,
@@ -139,7 +139,7 @@ class TestStaleness:
         is rejected on load — the payload's own fingerprint is checked,
         not just the address."""
         store = _store_for(artifact_root, engine.context)
-        store.save(1, *engine._cycle_state(1, None))
+        store.save(1, engine._cycle_state(1))
         path = store._path(1)
         payload = json.loads(path.read_text())
         payload["fingerprint"] = {"n_nodes": 1, "registers": {}}
@@ -150,7 +150,7 @@ class TestStaleness:
 
     def test_wrong_format_version_is_rejected(self, artifact_root, engine):
         store = _store_for(artifact_root, engine.context)
-        store.save(1, *engine._cycle_state(1, None))
+        store.save(1, engine._cycle_state(1))
         path = store._path(1)
         payload = json.loads(path.read_text())
         payload["version"] = BASELINE_FORMAT_VERSION + 1
@@ -158,9 +158,30 @@ class TestStaleness:
         assert store.load(1) is None
         assert store.rejected == 1
 
+    def test_an_older_format_is_never_addressed(
+        self, artifact_root, engine, monkeypatch
+    ):
+        """A file an older checkout wrote in format 1 sits at an address
+        this store never asks for: its load is a plain miss, not a
+        rejection, and the next save writes the cycle in this format."""
+        baseline = engine._cycle_state(4)
+        with monkeypatch.context() as patched:
+            patched.setattr(artifacts, "BASELINE_FORMAT_VERSION", 1)
+            old = _store_for(artifact_root, engine.context)
+            old.save(4, baseline)
+            assert old.writes == 1
+        store = _store_for(artifact_root, engine.context)
+        assert store.load(4) is None
+        assert (store.hits, store.misses, store.rejected) == (0, 1, 0)
+        store.save(4, baseline)
+        assert store.writes == 1
+        loaded = store.load(4)
+        assert (store.hits, store.misses, store.rejected) == (1, 1, 0)
+        assert (loaded.values == baseline.values).all()
+
     def test_corrupt_json_is_a_miss_not_a_crash(self, artifact_root, engine):
         store = _store_for(artifact_root, engine.context)
-        store.save(1, *engine._cycle_state(1, None))
+        store.save(1, engine._cycle_state(1))
         store._path(1).write_text("{truncated")
         assert store.load(1) is None
         assert store.misses == 1
@@ -232,7 +253,7 @@ class TestEngineIntegration:
         assert second.baseline_store.hits == 0
         r2 = second.evaluate(sampler, 40, seed=np.random.SeedSequence(21))
         # One load per cycle the first run computed, each on its first
-        # demand; the LRU serves every repeat.
+        # demand; the engine's cache serves every repeat.
         assert second.baseline_store.misses == 0
         assert second.baseline_store.hits == first.baseline_store.writes
         assert r1.records == r2.records
@@ -245,16 +266,35 @@ class TestEngineIntegration:
         assert ratio == [1.0]
 
 
-class TestTraceEntryCycle:
-    """The persisted trace entry names the cycle it records, so a stored
-    artifact's bytes do not depend on what its process simulated before."""
+class TestArtifactBytes:
+    """A cycle's stored artifact does not depend on what its writing
+    engine computed before: its bytes are the same in any order."""
 
-    def test_entry_cycle_is_the_requested_cycle_in_any_order(self, engine):
-        for cycle in (30, 5, 17, 5, 29):
-            engine._cycle_cache.clear()
-            entry, post_step, _ = engine._cycle_state(cycle, None)
-            assert entry.cycle == cycle
-            assert post_step.cycle == cycle + 1
+    def test_bytes_do_not_depend_on_prior_cycles(
+        self, small_context, tmp_path
+    ):
+        spec = default_attack_spec(
+            small_context, window=8, subblock_fraction=0.25
+        )
+        orders = ((30, 5, 17, 29), (29, 17, 5, 30), (5, 30))
+        written = []
+        for i, order in enumerate(orders):
+            engine = CrossLevelEngine(
+                small_context, spec,
+                baseline_store=_store_for(
+                    ArtifactStore(tmp_path / f"root{i}"), small_context
+                ),
+            )
+            # Leave the engine's SoC somewhere else first.
+            engine.probe_register_flips(frozenset({("viol_q", 0)}), 20 + i)
+            for cycle in order:
+                engine._cycle_state(cycle)
+            store = engine.baseline_store
+            written.append(
+                {cycle: store._path(cycle).read_bytes() for cycle in order}
+            )
+        for cycle in (30, 5, 17, 29):
+            assert len({w[cycle] for w in written if cycle in w}) == 1
 
     def test_loaded_baseline_equals_one_recomputed_elsewhere(
         self, small_context, artifact_root
@@ -267,15 +307,13 @@ class TestTraceEntryCycle:
             baseline_store=_store_for(artifact_root, small_context),
         )
         for cycle in (40, 12):
-            writer._cycle_state(cycle, None)
-        loaded_entry, loaded_post, _ = _store_for(
-            artifact_root, small_context
-        ).load(12)
+            writer._cycle_state(cycle)
+        loaded = _store_for(artifact_root, small_context).load(12)
         other = CrossLevelEngine(small_context, spec)
-        other._cycle_state(33, None)
-        entry, post_step, _ = other._cycle_state(12, None)
-        assert loaded_entry == entry
-        assert loaded_post == post_step
+        other._cycle_state(33)
+        recomputed = other._cycle_state(12)
+        assert (loaded.values == recomputed.values).all()
+        assert loaded.golden_next == recomputed.golden_next
 
 
 def _hit_count(metrics):
